@@ -3,21 +3,20 @@
 Every subcommand produces a CheckReport; ``--json`` prints the stable JSON
 schema {"suite", "checks", "seed", "runtime_ms", "constants"}.  Exit code 0
 means no check failed, 1 means at least one failure, 2 means a usage error.
-The environment variable K3VERIFY_THREADS caps the parallelism of ``all``.
+``all`` runs the suites one after another in manifest order.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families, lattice, weierstrass
 from .eliminate import PitConfig
+from .wpoly import WeightedPolynomial
 
 
 @dataclass
@@ -75,6 +74,11 @@ class CheckReport:
         return "\n".join(lines)
 
 
+# The constants of the two factorizations as README states them.
+_README_C = 2176782336  # 6^12
+_README_C_PRIME = 544195584
+
+
 def _pit_config(args) -> PitConfig:
     return PitConfig(trials=args.trials, seed=args.seed)
 
@@ -93,12 +97,14 @@ def run_disc_factor(args) -> CheckReport:
             report.constants["c"] = c
     else:
         fac = families.disc_factorization()
+        product = fac.c * families.r_poly() ** 3 * families.printed_d90()
         report.check(
             "disc(R) = c * r^3 * d90 (symbolic)",
-            True,
-            f"exact division succeeded; quotient has "
-            f"{fac.d90_derived.term_count()} terms",
+            fac.disc == product,
+            f"disc(R) has {fac.disc.term_count()} terms, c * r^3 * d90 has "
+            f"{product.term_count()}",
         )
+        report.check(f"c = {_README_C}", fac.c == _README_C, f"c = {fac.c}")
         report.check(
             "disc(R) weighted-homogeneous of weight 180",
             fac.disc.is_weighted_homogeneous() and fac.disc.weighted_degree() == 180,
@@ -243,8 +249,15 @@ def run_cd(args) -> CheckReport:
     ok, witness = families.cd_specialize_check()
     report.check("CD chart specialization matches S(t)", ok, witness=witness)
     fac = families.cd_disc_factorization()
-    report.check("disc(R0) = c' * gamma^3 * r0^3 * d0", True,
-                 f"d0 has {fac.d0.term_count()} terms")
+    gamma = WeightedPolynomial.variable(families.CD_TABLE, "gamma")
+    product = fac.c_prime * gamma ** 3 * fac.r0 ** 3 * fac.d0
+    report.check(
+        "disc(R0) = c' * gamma^3 * r0^3 * d0",
+        fac.disc == product,
+        f"disc(R0) has {fac.disc.term_count()} terms, d0 has {fac.d0.term_count()}",
+    )
+    report.check(f"c' = {_README_C_PRIME}", fac.c_prime == _README_C_PRIME,
+                 f"c' = {fac.c_prime}")
     report.check(
         "weighted degrees (gamma^3, r0^3, d0) = (30, 60, 60)",
         fac.r0.weighted_degree() * 3 == 60 and fac.d0.weighted_degree() == 60,
@@ -306,15 +319,8 @@ _MANIFEST = (
 
 def run_all(args) -> CheckReport:
     report = CheckReport(suite="all", seed=args.seed)
-    workers = int(os.environ.get("K3VERIFY_THREADS", "0")) or None
-    if workers == 1:
-        results = [runner(args) for _name, runner in _MANIFEST]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(runner, args) for _name, runner in _MANIFEST]
-            results = [f.result() for f in futures]
-    for sub in results:  # manifest order, not completion order
-        report.merge(sub)
+    for _name, runner in _MANIFEST:
+        report.merge(runner(args))
     return report
 
 

@@ -1,19 +1,18 @@
 """Resultants, discriminants, and probabilistic polynomial-identity testing.
 
 The resultant is defined as the determinant of the Sylvester matrix with the
-rows of the first argument on top.  The default path is the subresultant
-polynomial remainder sequence; when coefficient swell passes a term-count
-threshold the computation falls back to a fraction-free Bareiss determinant of
-the Sylvester matrix, which yields the identical value.
+rows of the first argument on top.  It is computed by the subresultant
+polynomial remainder sequence, run on the integer kernel of ``wpoly`` after
+clearing denominators.  A fraction-free Bareiss determinant of the Sylvester
+matrix (``method="bareiss"``) yields the identical value and serves as an
+independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .wpoly import NotDivisibleError, WeightedPolynomial
-
-PRS_TERM_THRESHOLD = 200_000
+from .wpoly import WeightedPolynomial, _Kernel
 
 
 class BothConstantError(ValueError):
@@ -73,37 +72,33 @@ def sample_point(cfg: PitConfig, trial: int, nvars: int):
     return tuple(coords)
 
 
-# -- coefficient-list helpers (entries are WeightedPolynomials) ---------------
+# -- coefficient lists of kernel values ---------------------------------------
 
 
 def _trim(coeffs):
-    while coeffs and coeffs[-1].is_zero():
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _lead(coeffs):
-    return coeffs[-1]
-
-
-def _prem(a, b, one):
+def _prem(a, b, kernel):
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = _lead(b)
+    mul, sub = kernel.mul, kernel.sub
+    db = len(b) - 1
+    lb = b[-1]
     r = list(a)
-    e = da - db + 1
-    while len(r) - 1 >= db and r:
+    e = len(a) - db
+    while r and len(r) - 1 >= db:
         shift = len(r) - 1 - db
-        top = r[-1]
-        r = [c * lb for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] = r[shift + i] - top * bc
-        r.pop()
-        r = _trim(r)
+        top = r.pop()
+        r = [mul(c, lb) for c in r]
+        for i, bc in enumerate(b[:-1]):
+            r[shift + i] = sub(r[shift + i], mul(top, bc))
+        _trim(r)
         e -= 1
     if e > 0:
-        scale = lb ** e
-        r = [c * scale for c in r]
+        scale = kernel.pow(lb, e)
+        r = [mul(c, scale) for c in r]
     return r
 
 
@@ -168,9 +163,6 @@ def resultant(
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
-    table = f.table
-    one = WeightedPolynomial.constant(table, 1)
-    zero = WeightedPolynomial.zero(table)
     a = f.univariate_view(var)
     b = g.univariate_view(var)
     m, n = len(a) - 1, len(b) - 1
@@ -181,59 +173,51 @@ def resultant(
     if n < 1:
         return b[0] ** m
     if method == "bareiss":
+        one = WeightedPolynomial.constant(f.table, 1)
         return _bareiss_poly_det(sylvester_matrix(f, g, var), one)
-    try:
-        if method in ("auto", "prs"):
-            guard = None if method == "prs" else PRS_TERM_THRESHOLD
-            return _resultant_prs_guarded(a, b, one, zero, guard)
+    if method not in ("auto", "prs"):
         raise ValueError(f"unknown method {method!r}")
-    except _SwellExceeded:
-        return _bareiss_poly_det(sylvester_matrix(f, g, var), one)
+    return _resultant_prs(a, b)
 
 
-class _SwellExceeded(Exception):
-    pass
+def _resultant_prs(a, b):
+    """Subresultant PRS on coefficient lists of degree at least 1.
 
-
-def _resultant_prs_guarded(a, b, one, zero, guard):
-    if guard is not None:
-        total = sum(c.term_count() for c in a) + sum(c.term_count() for c in b)
-        if total > guard:
-            raise _SwellExceeded
-    # re-run the plain PRS with an inline watch on intermediate sizes
-    s = 1
-    if len(a) - 1 < len(b) - 1:
+    Denominators are cleared first: with a = sa * A and b = sb * B integral,
+    res(a, b) = sa^deg(b) * sb^deg(a) * res(A, B).
+    """
+    kernel = _Kernel(a[0].table)
+    sa, a = kernel.pack(a)
+    sb, b = kernel.pack(b)
+    scale = sa ** (len(b) - 1) * sb ** (len(a) - 1)
+    mul, exact_div, power = kernel.mul, kernel.exact_div, kernel.pow
+    if len(a) < len(b):
         if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            s = -s
+            scale = -scale
         a, b = b, a
-    g = one
-    h = one
+    g = kernel.one()
+    h = kernel.one()
     while True:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _prem(a, b, one)
-        if guard is not None and sum(c.term_count() for c in r) > guard:
-            raise _SwellExceeded
+            scale = -scale
+        r = _prem(a, b, kernel)
         a = b
-        denom = g * h ** delta
-        b = _trim([c.exact_div(denom) for c in r])
+        denom = mul(g, power(h, delta))
+        b = _trim([exact_div(c, denom) for c in r])
         if not b:
-            return zero
-        g = _lead(a)
+            return kernel.poly({})
+        g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = (g ** delta).exact_div(h ** (delta - 1))
+            h = exact_div(power(g, delta), power(h, delta - 1))
         if len(b) - 1 == 0:
             break
     q = len(a) - 1
-    if q == 1:
-        res = b[0]
-    else:
-        res = (b[0] ** q).exact_div(h ** (q - 1))
-    return res if s == 1 else -res
+    res = b[0] if q == 1 else exact_div(power(b[0], q), power(h, q - 1))
+    return kernel.poly(res, scale)
 
 
 def discriminant(f: WeightedPolynomial, var: str, method: str = "auto") -> WeightedPolynomial:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd, lcm
 
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
 from .weierstrass import WeierstrassModel
@@ -170,24 +171,11 @@ def printed_d90() -> WeightedPolynomial:
 
 def _content_and_sign(p: WeightedPolynomial) -> Fraction:
     """Rational content of p, signed so p/content has a positive leading term."""
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _gcd(num, abs(c.numerator))
-        den = _lcm(den, c.denominator)
+    num = gcd(*(c.numerator for c in p.terms.values()))
+    den = lcm(*(c.denominator for c in p.terms.values()))
     content = Fraction(num, den)
     lead_coeff = p.leading_term()[1]
     return -content if lead_coeff < 0 else content
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -315,11 +303,13 @@ def cd_r0_poly() -> WeightedPolynomial:
 
 @dataclass(frozen=True)
 class CdDiscFactorization:
-    """disc_{x1}(R0) = c' * gamma^3 * r0^3 * d0 with the fitted constant c'."""
+    """disc_{x1}(R0) = c' * gamma^3 * r0^3 * d0 with the fitted constant c',
+    where ``disc`` is taken in the resultant normalization res(R0, R0')."""
 
     c_prime: Fraction
     r0: WeightedPolynomial
     d0: WeightedPolynomial
+    disc: WeightedPolynomial
 
 
 @lru_cache(maxsize=1)
@@ -346,7 +336,7 @@ def cd_disc_factorization() -> CdDiscFactorization:
     for poly, weight, label in ((r0, 20, "r0"), (d0, 60, "d0")):
         if not (poly.is_weighted_homogeneous() and poly.weighted_degree() == weight):
             raise ConsistencyFailure(f"{label} is not homogeneous of weight {weight}")
-    return CdDiscFactorization(c_prime=c_prime, r0=r0, d0=d0)
+    return CdDiscFactorization(c_prime=c_prime, r0=r0, d0=d0, disc=res)
 
 
 _CD_SUBSTITUTION = {"t4": "-3*alpha", "t6": "-2*beta", "t10": "-gamma", "t12": "delta", "t18": "0"}

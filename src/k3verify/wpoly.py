@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials over exact rationals with weighted grading.
 
-Terms are stored as a map from exponent tuples to nonzero ``Fraction``
-coefficients, so equal polynomials always have identical term maps.  The
-canonical term order is descending weighted degree, ties broken by descending
-lexicographic exponent order in declared variable order.
+A ``WeightedPolynomial`` stores its terms as a map from exponent tuples to
+nonzero ``Fraction`` coefficients, so equal polynomials always have identical
+term maps.  The canonical term order is descending weighted degree, ties
+broken by descending lexicographic exponent order in declared variable order.
+
+Multiplication, powers and exact division run on a private integer kernel:
+each operand is converted once into a scale ``Fraction`` times a map from
+packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
+once, so ``Fraction`` arithmetic appears only at these boundaries.
 """
 from __future__ import annotations
 
@@ -11,6 +16,10 @@ import random as _random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from heapq import heappop, heappush
+from math import gcd, lcm
+from operator import lshift, or_
 
 NEG_INFINITY = float("-inf")
 
@@ -226,21 +235,9 @@ class WeightedPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        if not self.terms or not other.terms:
-            return WeightedPolynomial.zero(self.table)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        terms = {}
-        for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(exp, 0) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return WeightedPolynomial(self.table, terms)
+        kernel = _Kernel(self.table)
+        scale, (a, b) = kernel.pack([self, other])
+        return kernel.poly(kernel.mul(a, b), scale * scale)
 
     __rmul__ = __mul__
 
@@ -253,14 +250,9 @@ class WeightedPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = WeightedPolynomial.constant(self.table, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        kernel = _Kernel(self.table)
+        scale, (base,) = kernel.pack([self])
+        return kernel.poly(kernel.pow(base, k), scale ** k)
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -352,21 +344,17 @@ class WeightedPolynomial:
         self._check_table(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return WeightedPolynomial.zero(self.table)
-        d_exp, d_coeff = divisor.leading_term()
-        quotient = {}
-        remainder = WeightedPolynomial(self.table, dict(self.terms))
-        while not remainder.is_zero():
-            r_exp, r_coeff = remainder.leading_term()
-            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in q_exp):
-                raise NotDivisibleError(remainder)
-            q_coeff = r_coeff / d_coeff
-            quotient[q_exp] = quotient.get(q_exp, 0) + q_coeff
-            mono = WeightedPolynomial(self.table, {q_exp: q_coeff})
-            remainder = remainder - mono * divisor
-        return WeightedPolynomial.from_terms(self.table, quotient)
+        kernel = _Kernel(self.table)
+        scale, (num,) = kernel.pack([self])
+        den_scale, (den,) = kernel.pack([divisor])
+        # A primitive integral divisor keeps the quotient integral (Gauss's lemma).
+        content = gcd(*den.values())
+        den = {key: c // content for key, c in den.items()}
+        try:
+            quotient = kernel.exact_div(num, den)
+        except NotDivisibleError as exc:
+            raise NotDivisibleError(exc.remainder * scale) from None
+        return kernel.poly(quotient, scale / (den_scale * content))
 
     def univariate_view(self, var: str):
         """Coefficient list indexed by the power of ``var``.
@@ -413,6 +401,158 @@ class WeightedPolynomial:
 class ContentResult:
     content: WeightedPolynomial
     conclusive: bool
+
+
+# -- packed-monomial integer kernel -------------------------------------------
+
+# Bits per variable in a packed monomial: the top bit of each field is a guard
+# bit, so exponents stay below 2**(_FIELD_BITS - 1).
+_FIELD_BITS = 16
+_EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
+
+
+class _Kernel:
+    """Integer polynomial arithmetic on packed monomials over one table.
+
+    A kernel value is a dict from packed monomial to nonzero ``int``.  Each
+    variable owns one ``_FIELD_BITS``-wide field, variable 0 the most
+    significant, so comparing keys as integers is the lexicographic monomial
+    order and adding keys multiplies monomials.  A sum of two exponents below
+    the limit fits its field, so a product can set a guard bit but never
+    carry into the next field.  Products are checked, and one that sets a
+    guard bit raises OverflowError instead of wrapping.
+    """
+
+    __slots__ = ("table", "shifts", "guards")
+
+    def __init__(self, table: VariableTable):
+        n = len(table)
+        self.table = table
+        self.shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.guards = sum(_EXPONENT_LIMIT << s for s in self.shifts)
+
+    def pack(self, polys):
+        """(scale, values) with ``polys[i] == scale * values[i]`` and each
+        value integral; ``scale`` is 1 over the common denominator."""
+        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        shifts = self.shifts
+        values = []
+        for p in polys:
+            value = {}
+            for exp, c in p.terms.items():
+                if exp and max(exp) >= _EXPONENT_LIMIT:
+                    raise OverflowError(f"exponent in {exp} exceeds the packing width")
+                value[sum(map(lshift, exp, shifts))] = c.numerator * (den // c.denominator)
+            values.append(value)
+        return Fraction(1, den), values
+
+    def poly(self, value, scale=Fraction(1)) -> WeightedPolynomial:
+        """The polynomial ``scale * value``."""
+        mask = _EXPONENT_LIMIT - 1
+        shifts = self.shifts
+        num, den = scale.numerator, scale.denominator
+        terms = {}
+        for key, c in value.items():
+            exp = tuple((key >> s) & mask for s in shifts)
+            terms[exp] = Fraction(c) if num == den == 1 else Fraction(c * num, den)
+        return WeightedPolynomial(self.table, terms)
+
+    @staticmethod
+    def one():
+        return {0: 1}
+
+    @staticmethod
+    def sub(a, b):
+        out = dict(a)
+        get = out.get
+        for key, c in b.items():
+            s = get(key, 0) - c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return out
+
+    def _check(self, key):
+        if key & self.guards:
+            raise OverflowError("monomial product exceeds the packing width")
+
+    def mul(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        terms = list(a.items())
+        out = {}
+        for kb, cb in b.items():
+            for ka, ca in terms:
+                key = ka + kb
+                if key in out:
+                    out[key] += ca * cb
+                else:
+                    out[key] = ca * cb
+        self._check(reduce(or_, out, 0))
+        return {key: c for key, c in out.items() if c}
+
+    def pow(self, a, k: int):
+        result = self.one()
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return result
+
+    def exact_div(self, a, b):
+        """Quotient a / b over Z; raises NotDivisibleError otherwise.
+
+        Division driven by a max-heap of monomials (Monagan and Pearce, J.
+        Symb. Comput. 46, 2011): the quotient comes out in descending key
+        order, each new quotient term adds its products with the divisor's
+        tail into ``owed``, and the heap yields the next key to cancel.  Each
+        key enters the heap once, since every new product lies below the key
+        just cancelled.
+        """
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        dividend = sorted(a.items(), reverse=True)
+        (lead_key, lead_c), *tail = sorted(b.items(), reverse=True)
+        guards = self.guards
+        # fieldwise maximum of the divisor's exponents: q * b overflows some
+        # field exactly when q times this does
+        mask = _EXPONENT_LIMIT - 1
+        reach = sum(max((key >> s) & mask for key in b) << s for s in self.shifts)
+        quotient = []
+        owed = {}  # key -> what the quotient so far contributes there
+        heap = []  # negated keys of ``owed``
+        i, n = 0, len(dividend)
+        while i < n or heap:
+            key = -heap[0] if heap else -1
+            c = 0
+            if i < n and dividend[i][0] >= key:
+                key, c = dividend[i]
+                i += 1
+            if key in owed:
+                heappop(heap)
+                c -= owed.pop(key)
+            if not c:
+                continue
+            # with every guard bit set no field borrows; a guard bit that is
+            # cleared marks a divisor exponent above the remainder's
+            shifted = (key | guards) - lead_key
+            if shifted & guards != guards or c % lead_c:
+                remainder = self.sub(a, self.mul(dict(quotient), b))
+                raise NotDivisibleError(self.poly(remainder))
+            q_key, q_c = shifted ^ guards, c // lead_c
+            quotient.append((q_key, q_c))
+            self._check(q_key + reach)
+            for t_key, t_c in tail:
+                k = q_key + t_key
+                if k in owed:
+                    owed[k] += q_c * t_c
+                else:
+                    owed[k] = q_c * t_c
+                    heappush(heap, -k)
+        return dict(quotient)
 
 
 # -- text format ------------------------------------------------------------

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from k3verify import families
 from k3verify.cli import main
+from k3verify.wpoly import WeightedPolynomial
 
 
 def test_dims_exit_zero(capsys):
@@ -75,3 +78,41 @@ def test_lattices_user_file_failure(tmp_path, capsys):
 
 def test_lattices_user_file_missing():
     assert main(["lattices", "--lattice", "/nonexistent/lat.json"]) == 2
+
+
+def _statuses(capsys):
+    report = json.loads(capsys.readouterr().out)
+    return {c["name"]: c["status"] for c in report["checks"]}
+
+
+def test_disc_factor_symbolic_wrong_factorization_fails(monkeypatch, capsys):
+    # the true disc(R) and d90, but c is twice the true constant
+    d90 = families.printed_d90()
+    true_disc = 2176782336 * families.r_poly() ** 3 * d90
+    wrong = families.DiscFactorization(c=2 * 2176782336, disc=true_disc, d90_derived=d90)
+    monkeypatch.setattr(families, "disc_factorization", lambda: wrong)
+    assert main(["disc-factor", "--symbolic", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R) = c * r^3 * d90 (symbolic)"] == "fail"
+    assert statuses["c = 2176782336"] == "fail"
+
+
+def test_cd_wrong_factorization_fails(monkeypatch, capsys):
+    true = families.cd_disc_factorization()
+    gamma = WeightedPolynomial.variable(families.CD_TABLE, "gamma")
+    wrong = dataclasses.replace(true, d0=true.d0 + gamma ** 6)
+    monkeypatch.setattr(families, "cd_disc_factorization", lambda: wrong)
+    assert main(["cd", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R0) = c' * gamma^3 * r0^3 * d0"] == "fail"
+    assert statuses["c' = 544195584"] == "pass"
+
+
+def test_cd_wrong_constant_fails(monkeypatch, capsys):
+    true = families.cd_disc_factorization()
+    wrong = dataclasses.replace(true, c_prime=true.c_prime / 4, d0=4 * true.d0)
+    monkeypatch.setattr(families, "cd_disc_factorization", lambda: wrong)
+    assert main(["cd", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R0) = c' * gamma^3 * r0^3 * d0"] == "pass"
+    assert statuses["c' = 544195584"] == "fail"

@@ -149,3 +149,24 @@ def test_pit_config_validation():
         PitConfig(trials=0)
     with pytest.raises(ValueError):
         PitConfig(sample_bound=1)
+
+
+def test_disc_r_matches_sympy():
+    # Both sides use the convention disc_x(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)
+    # for f of degree n in x, so the polynomials must agree term for term.
+    sympy = pytest.importorskip("sympy")
+    from k3verify.families import big_r_symbolic, disc_factorization
+
+    big_r = big_r_symbolic()
+    names = sympy.symbols(big_r.table.names)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(v ** e for v, e in zip(names, exp)))
+        for exp, c in big_r.terms.items()
+    )
+    disc = sympy.Poly(sympy.discriminant(expr, names[-1]), *names[:-1])
+    expected = {
+        exp: Fraction(int(c.p), int(c.q)) for exp, c in disc.as_dict().items()
+    }
+    assert len(expected) == 616
+    assert disc_factorization().disc.terms == expected

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3verify.wpoly import (
+    _EXPONENT_LIMIT,
     CompositeModulusError,
     LeadingCoefficientVanishesError,
     NEG_INFINITY,
@@ -153,6 +154,128 @@ def test_exact_div():
     assert p.exact_div(q) == parse("t4 + t6", T)
     with pytest.raises(NotDivisibleError):
         parse("t4", T).exact_div(parse("t6", T))
+
+
+def test_exact_div_rational_quotient():
+    t4 = WeightedPolynomial.variable(T, "t4")
+    assert (2 * t4).exact_div(3 * t4) == Fraction(2, 3)
+    p = parse("1/2*t4^2 - 3/4*t6", T)
+    q = parse("2/3*t10 + 5", T)
+    assert (p * q).exact_div(q) == p
+    assert (p * q).exact_div(p) == q
+
+
+def test_exact_div_remainder_witness():
+    cases = (
+        ("t4 + 1", "t4 - t6"),
+        ("t4^2 + t6", "t4"),
+        ("1/2*t4", "t4^2"),
+        ("4*t4^2*t6 + 4*t4*t6^2", "3*t4^2*t6 + 4*t4*t6^2"),
+        ("2*t4*t6", "4*t4 + 1"),
+    )
+    for num, den in cases:
+        with pytest.raises(NotDivisibleError) as exc:
+            parse(num, T).exact_div(parse(den, T))
+        assert not exc.value.remainder.is_zero()
+
+
+def test_exponent_past_packing_width_overflows():
+    wide = WeightedPolynomial.from_terms(T, {(0, 0, 0, 0, _EXPONENT_LIMIT): 1})
+    t4 = WeightedPolynomial.variable(T, "t4")
+    with pytest.raises(OverflowError):
+        wide * t4
+    with pytest.raises(OverflowError):
+        t4.exact_div(wide)
+
+
+def test_product_carrying_across_fields_overflows():
+    half = _EXPONENT_LIMIT // 2
+    for name in ("t4", "t12", "t18"):
+        v = WeightedPolynomial.variable(T, name) ** half
+        with pytest.raises(OverflowError):
+            v * v
+        with pytest.raises(OverflowError):
+            v ** 2
+    # a quotient term times the divisor's tail leaves the field; unchecked,
+    # the second division would return a wrong quotient
+    t4, t18 = (WeightedPolynomial.variable(T, n) for n in ("t4", "t18"))
+    with pytest.raises(OverflowError):
+        (t4 * t18 ** (_EXPONENT_LIMIT - 2)).exact_div(t4 + t18 ** 2)
+    a = 2 * t4 * t18 ** (_EXPONENT_LIMIT - 2) - 2 * t4 ** 2 * t18 ** (_EXPONENT_LIMIT - 1)
+    with pytest.raises(OverflowError):
+        a.exact_div(t18 ** (_EXPONENT_LIMIT - 1) - t4)
+    # the largest exponent that fits still works
+    top = t18 ** (_EXPONENT_LIMIT - 1)
+    assert (top * t4).exact_div(t4) == top
+
+
+def _schoolbook_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _schoolbook_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_strategy(st):
+    small = VariableTable(("u", "v", "w"), (1, 2, 3))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    terms = st.dictionaries(
+        st.tuples(*(st.integers(0, 4) for _ in small.names)), coeff, max_size=6
+    )
+    return terms.map(lambda t: WeightedPolynomial.from_terms(small, t))
+
+
+def test_kernel_ring_laws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    polys = _poly_strategy(hypothesis.strategies)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, polys, polys)
+    def check(p, q, r):
+        assert (p * q).terms == _schoolbook_mul(p.terms, q.terms)
+        assert p * q == q * p
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == WeightedPolynomial(
+            p.table, _schoolbook_add(_schoolbook_mul(p.terms, q.terms),
+                                     _schoolbook_mul(p.terms, r.terms))
+        )
+        assert p ** 3 == WeightedPolynomial(
+            p.table, _schoolbook_mul(_schoolbook_mul(p.terms, p.terms), p.terms)
+        )
+        assert all(isinstance(c, Fraction) and c for c in (p * q).terms.values())
+
+    check()
+
+
+def test_kernel_exact_div_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    polys = _poly_strategy(hypothesis.strategies)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, polys)
+    def check(p, q):
+        hypothesis.assume(not q.is_zero())
+        assert (p * q).exact_div(q) == p
+        if not p.is_zero():
+            assert (p * q).exact_div(p) == q
+        # any pair: an exact quotient, or a failure with a nonzero remainder
+        try:
+            quotient = p.exact_div(q)
+        except NotDivisibleError as exc:
+            assert not exc.remainder.is_zero()
+        else:
+            assert quotient * q == p
+
+    check()
 
 
 def test_univariate_view():
