@@ -145,6 +145,10 @@ def run_d90_check(args) -> CheckReport:
 
 def run_lattices(args) -> CheckReport:
     report = CheckReport(suite="lattices", seed=args.seed)
+    user = None
+    if args.lattice:  # read and validated before any built-in check runs
+        with open(args.lattice) as handle:
+            user = lattice.lattice_from_json(handle.read())
     a = lattice.a_lattice()
     big_l = lattice.k3_lattice()
     m = lattice.m_lattice()
@@ -181,13 +185,11 @@ def run_lattices(args) -> CheckReport:
         lattice.same_genus_invariants(comp, a),
         f"complement signature {lattice.signature(comp)}, det {comp.det()}",
     )
-    if args.lattice:
-        with open(args.lattice) as handle:
-            user = lattice.lattice_from_json(handle.read())
+    if user is not None:
         kn = lattice.kneser_check(user, search_bound=args.bound)
         report.add(
             f"kneser_check({user.label or 'user lattice'})",
-            kn.overall if kn.overall != "fail" else "fail",
+            kn.overall,
             f"signature {lattice.signature(user)}, det {user.det()}, "
             f"details {kn.details}",
         )
@@ -324,6 +326,16 @@ def run_all(args) -> CheckReport:
     return report
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3verify",
@@ -335,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="PIT seed (default 0)")
     common.add_argument("--trials", type=int, default=100,
                         help="randomized trial budget (default 100)")
-    common.add_argument("--bound", type=int, default=2,
+    common.add_argument("--bound", type=_nonnegative_int, default=2,
                         help="box bound for the norm -2 search (default 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 

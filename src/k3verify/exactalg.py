@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra kernels.
 
-Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
-no floating point enters any code path.  Matrices are immutable values and all
-kernels return fresh matrices, so results can be shared freely across threads.
+``ExactMatrix`` holds ``fractions.Fraction`` entries; no floating point enters
+any code path.  The Smith normal form and the Bareiss determinant convert
+their integral input to ``int`` rows once and run in integer arithmetic only.
+Matrices are immutable values and every kernel returns fresh matrices.
 """
 from __future__ import annotations
 

@@ -1,16 +1,21 @@
 """Even integral lattices: catalog, invariants, discriminant forms, reflections.
 
-A lattice is stored as its Gram matrix on a fixed basis.  All invariants are
-computed with exact integer/rational arithmetic; the only floating point in the
-module is the optional numeric path of :func:`is_period_point`.
+A lattice is stored as its Gram matrix on a fixed basis.  Gram forms are
+evaluated in ``int``: rational vectors are scaled to integral ones first and
+the denominator is divided out once.  All invariants are exact; the only
+floating point in the module is the optional numeric path of
+:func:`is_period_point`.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .exactalg import (
     ExactMatrix,
@@ -45,21 +50,37 @@ class ZeroVectorError(ValueError):
     """The zero vector is not a valid period candidate."""
 
 
+def _mat_vec(rows, v):
+    """Integer matrix (a sequence of rows) times an integer vector."""
+    return [sum(map(mul, row, v)) for row in rows]
+
+
+def _integral(v):
+    """``(d, w)`` with ``w`` an integer vector and ``v = w / d``."""
+    if all(type(x) is int for x in v):
+        return 1, v
+    v = [Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in v))
+    return d, [int(x * d) for x in v]
+
+
 @dataclass(frozen=True)
 class GramLattice:
     """Even integral lattice given by a symmetric Gram matrix."""
 
     gram: ExactMatrix
     label: str = ""
+    int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         if not self.gram.is_integral():
             raise ValueError("Gram matrix must be integral")
-        for i in range(self.gram.rows):
-            if self.gram[i, i] % 2 != 0:
-                raise ValueError("lattice is not even: odd diagonal entry")
+        rows = tuple(map(tuple, self.gram.to_int_rows()))
+        if any(rows[i][i] % 2 for i in range(len(rows))):
+            raise ValueError("lattice is not even: odd diagonal entry")
+        object.__setattr__(self, "int_rows", rows)
 
     @property
     def rank(self) -> int:
@@ -68,13 +89,38 @@ class GramLattice:
     def det(self) -> int:
         return det_fraction_free(self.gram)
 
-    def inner(self, u, v) -> Fraction:
-        """Bilinear form of two vectors given in basis coordinates."""
-        gv = self.gram.apply(v)
-        return sum(Fraction(u[i]) * gv[i] for i in range(self.rank))
+    def inner(self, u, v):
+        """Bilinear form of two vectors given in basis coordinates.
 
-    def norm(self, v) -> Fraction:
+        An ``int`` for integral vectors, else a ``Fraction``.
+        """
+        if len(u) != self.rank or len(v) != self.rank:
+            raise ValueError("dimension mismatch")
+        du, u = _integral(u)
+        dv, v = _integral(v)
+        value = sum(map(mul, u, _mat_vec(self.int_rows, v)))
+        return value if du == dv == 1 else Fraction(value, du * dv)
+
+    def norm(self, v):
         return self.inner(v, v)
+
+    @cached_property
+    def dual_generators(self):
+        """Generators of A*/A as ``(order, w)``: the dual vector ``w / order``.
+
+        With ``u G v = D`` the Smith normal form, column i of ``v`` divided by
+        ``d_i`` is ``G^{-1} u^{-1} e_i``; the columns with ``d_i > 1`` generate
+        the discriminant group.
+        """
+        d, _u, v = smith_normal_form(self.gram)
+        n = self.rank
+        if any(d[i, i] == 0 for i in range(n)):
+            raise DegenerateLatticeError(f"{self.label or 'lattice'} is degenerate")
+        return tuple(
+            (int(d[i, i]), tuple(int(v[r, i]) for r in range(n)))
+            for i in range(n)
+            if d[i, i] > 1
+        )
 
 
 def _dynkin_a(k: int):
@@ -159,9 +205,8 @@ def direct_sum(lattices, label: str = "") -> GramLattice:
     rows = [[0] * total for _ in range(total)]
     offset = 0
     for lat in lats:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                rows[offset + i][offset + j] = int(lat.gram[i, j])
+        for i, row in enumerate(lat.int_rows):
+            rows[offset + i][offset:offset + lat.rank] = row
         offset += lat.rank
     if not label:
         label = " + ".join(l.label or "?" for l in lats)
@@ -235,54 +280,19 @@ class FiniteQuadraticForm:
         return _reduce_mod1(total)
 
     def element_order(self, element) -> int:
-        orders = []
-        for x, d in zip(element, self.generator_orders):
-            g = _gcd(x % d, d)
-            orders.append(d // g if g else 1)
-        return _lcm_list(orders)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm_list(values):
-    out = 1
-    for v in values:
-        out = out * v // _gcd(out, v) if v else out
-    return out
+        return math.lcm(
+            *(d // math.gcd(x, d) for x, d in zip(element, self.generator_orders))
+        )
 
 
 def discriminant_group(lat: GramLattice) -> FiniteQuadraticForm:
     """Discriminant form on A-dual/A computed from the Smith normal form."""
-    if lat.det() == 0:
-        raise DegenerateLatticeError(f"{lat.label or 'lattice'} is degenerate")
-    d, u, _v = smith_normal_form(lat.gram)
-    n = lat.rank
-    ginv = lat.gram.inverse()
-    uinv = u.inverse()
-    orders = []
-    dual_gens = []
-    for i in range(n):
-        di = int(d[i, i])
-        if di > 1:
-            orders.append(di)
-            # class of u^{-1} e_i in Z^n / gram Z^n; dual vector is G^{-1} x
-            x = tuple(uinv[r, i] for r in range(n))
-            dual_gens.append(ginv.apply(x))
-    k = len(orders)
-    q_diag = []
-    bilinear = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        q_diag.append(_reduce_mod2(lat.inner(dual_gens[i], dual_gens[i])))
-        for j in range(k):
-            bilinear[i][j] = _reduce_mod1(lat.inner(dual_gens[i], dual_gens[j]))
+    gens = lat.dual_generators
+    b = [[Fraction(lat.inner(wi, wj), di * dj) for dj, wj in gens] for di, wi in gens]
     return FiniteQuadraticForm(
-        generator_orders=tuple(orders),
-        q_diag=tuple(q_diag),
-        bilinear=tuple(tuple(row) for row in bilinear),
+        generator_orders=tuple(d for d, _w in gens),
+        q_diag=tuple(_reduce_mod2(b[i][i]) for i in range(len(gens))),
+        bilinear=tuple(tuple(_reduce_mod1(x) for x in row) for row in b),
     )
 
 
@@ -293,9 +303,8 @@ def _homomorphism_images(q: FiniteQuadraticForm, target: FiniteQuadraticForm):
     for i, d in enumerate(q.generator_orders):
         candidates = []
         for e in targets:
-            if (target.element_order(e) * 1) and d % target.element_order(e) == 0:
-                if target.q_of(e) == q.q_diag[i]:
-                    candidates.append(e)
+            if d % target.element_order(e) == 0 and target.q_of(e) == q.q_diag[i]:
+                candidates.append(e)
         by_gen.append(candidates)
     return by_gen
 
@@ -355,7 +364,7 @@ def rank_mod_p(lat: GramLattice, p: int) -> int:
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     n = lat.rank
-    a = [[int(lat.gram[i, j]) % p for j in range(n)] for i in range(n)]
+    a = [[x % p for x in row] for row in lat.int_rows]
     rank = 0
     row = 0
     for col in range(n):
@@ -454,74 +463,56 @@ def reflection(lat: GramLattice, delta) -> Isometry:
     """Reflection z -> z + (z, delta) delta in a vector of norm -2."""
     if lat.norm(delta) != -2:
         raise WrongNormError(f"(delta, delta) = {lat.norm(delta)} != -2")
+    scale, delta = _integral(delta)
+    if scale != 1:
+        raise ValueError("reflection vector is not integral")
     n = lat.rank
-    gd = lat.gram.apply(delta)
-    rows = [
-        [
-            Fraction(1 if r == c else 0) + Fraction(delta[r]) * gd[c]
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    m = ExactMatrix.from_rows(rows)
-    if m.transpose() @ lat.gram @ m != lat.gram:
+    gd = _mat_vec(lat.int_rows, delta)
+    rows = tuple(
+        tuple(int(r == c) + delta[r] * gd[c] for c in range(n)) for r in range(n)
+    )
+    if _mat_mul(tuple(zip(*rows)), _mat_mul(lat.int_rows, rows)) != lat.int_rows:
         raise AssertionError("reflection failed to preserve the Gram matrix")
-    det = det_fraction_free(m)
-    fixes = _acts_trivially_on_discriminant(lat, m)
-    return Isometry(matrix=m, det=det, fixes_discriminant_group=fixes)
+    m = ExactMatrix.from_rows(rows)
+    fixes = all(
+        all((x - y) % d == 0 for x, y in zip(_mat_vec(rows, w), w))
+        for d, w in lat.dual_generators
+    )
+    return Isometry(matrix=m, det=det_fraction_free(m), fixes_discriminant_group=fixes)
 
 
-def _acts_trivially_on_discriminant(lat: GramLattice, m: ExactMatrix) -> bool:
-    """Whether the isometry moves every dual vector by a lattice vector."""
-    d, u, _v = smith_normal_form(lat.gram)
-    ginv = lat.gram.inverse()
-    uinv = u.inverse()
-    n = lat.rank
-    for i in range(n):
-        if int(d[i, i]) <= 1:
-            continue
-        x = tuple(uinv[r, i] for r in range(n))
-        w = ginv.apply(x)
-        moved = m.apply(w)
-        if any((moved[r] - w[r]).denominator != 1 for r in range(n)):
-            return False
-    return True
+def _mat_mul(a, b):
+    """Product of two integer matrices given as sequences of rows."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
-def _coordinate_rank(vectors, n) -> int:
-    rows = [list(map(Fraction, v)) for v in vectors]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < n:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _gram_of(lat: GramLattice, vectors):
+    """Integer Gram matrix of integer vectors under the form of ``lat``."""
+    images = [_mat_vec(lat.int_rows, v) for v in vectors]
+    return [[sum(map(mul, a, gb)) for gb in images] for a in vectors]
+
+
+def _smith_invariants(sub_basis, n):
+    """Integer rows of a sublattice basis and the Smith invariants of their
+    matrix; raises :class:`DependentBasisError` if the rank falls short."""
+    basis = [tuple(int(x) for x in v) for v in sub_basis]
+    if any(len(v) != n for v in basis):
+        raise ValueError("dimension mismatch")
+    d, _u, _v = smith_normal_form(ExactMatrix.from_rows(basis))
+    invariants = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+    if len(invariants) != len(basis):
+        raise DependentBasisError("sublattice basis is linearly dependent")
+    return basis, invariants
 
 
 def orthogonal_complement(ambient: GramLattice, sub_basis) -> GramLattice:
     """Gram matrix of the primitive orthogonal complement of a sublattice."""
-    basis = [tuple(int(x) for x in v) for v in sub_basis]
-    n = ambient.rank
-    if _coordinate_rank(basis, n) != len(basis):
-        raise DependentBasisError("sublattice basis is linearly dependent")
-    pairing = ExactMatrix.from_rows(
-        [[int(ambient.inner(v, _unit(n, j))) for j in range(n)] for v in basis]
-    )
+    basis, _invariants = _smith_invariants(sub_basis, ambient.rank)
+    # row v of the pairing matrix is (v, e_j) = (G v)_j, G being symmetric
+    pairing = ExactMatrix.from_rows([_mat_vec(ambient.int_rows, v) for v in basis])
     kernel = integer_kernel(pairing)
-    gram = ExactMatrix.from_rows(
-        [[int(ambient.inner(a, b)) for b in kernel] for a in kernel]
-    )
+    gram = ExactMatrix.from_rows(_gram_of(ambient, kernel))
     return GramLattice(gram, label=f"({ambient.label})^perp")
 
 
@@ -531,15 +522,8 @@ def _unit(n, j):
 
 def is_primitive_sublattice(ambient: GramLattice, sub_basis) -> bool:
     """True iff the span of sub_basis is saturated in the ambient lattice."""
-    basis = [tuple(int(x) for x in v) for v in sub_basis]
-    if _coordinate_rank(basis, ambient.rank) != len(basis):
-        raise DependentBasisError("sublattice basis is linearly dependent")
-    coord = ExactMatrix.from_rows(basis)
-    d, _u, _v = smith_normal_form(coord)
-    for i in range(len(basis)):
-        if int(d[i, i]) != 1:
-            return False
-    return True
+    _basis, invariants = _smith_invariants(sub_basis, ambient.rank)
+    return all(x == 1 for x in invariants)
 
 
 def same_genus_invariants(lat1: GramLattice, lat2: GramLattice, bound: int = 10_000) -> bool:
@@ -574,15 +558,16 @@ def is_period_point(lat: GramLattice, xi, tol: float = 1e-9) -> bool:
     values = [complex(c) for c in coords]
     if all(abs(v) == 0 for v in values):
         raise ZeroVectorError("xi must be nonzero")
-    gram_norm = max(abs(int(lat.gram[i, j])) for i in range(lat.rank) for j in range(lat.rank))
+    rows = lat.int_rows
+    gram_norm = max(abs(x) for row in rows for x in row)
     scale = sum(abs(v) ** 2 for v in values) * max(gram_norm, 1)
     s1 = sum(
-        values[i] * int(lat.gram[i, j]) * values[j]
+        values[i] * rows[i][j] * values[j]
         for i in range(lat.rank)
         for j in range(lat.rank)
     )
     s2 = sum(
-        values[i] * int(lat.gram[i, j]) * values[j].conjugate()
+        values[i] * rows[i][j] * values[j].conjugate()
         for i in range(lat.rank)
         for j in range(lat.rank)
     )
@@ -617,10 +602,7 @@ def m_lattice() -> GramLattice:
     """Gram matrix of U + E8(-1) + E6(-1) on the embedded basis."""
     big = k3_lattice()
     basis = m_sublattice_basis()
-    gram = ExactMatrix.from_rows(
-        [[int(big.inner(a, b)) for b in basis] for a in basis]
-    )
-    return GramLattice(gram, label="M")
+    return GramLattice(ExactMatrix.from_rows(_gram_of(big, basis)), label="M")
 
 
 def a_lattice() -> GramLattice:
@@ -655,5 +637,21 @@ def lattice_to_json(lat: GramLattice) -> str:
 
 
 def lattice_from_json(text: str) -> GramLattice:
+    """Parse ``{"label": str, "gram": [[int, ...], ...]}``; a malformed
+    document raises ``ValueError`` naming the bad field."""
     obj = json.loads(text)
-    return GramLattice(ExactMatrix.from_rows(obj["gram"]), label=obj.get("label", ""))
+    if not isinstance(obj, dict):
+        raise ValueError("lattice JSON must be an object")
+    if "gram" not in obj:
+        raise ValueError('lattice JSON has no "gram" field')
+    rows = obj["gram"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('"gram" must be a list of rows, each a list')
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError('"gram" has ragged rows')
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError('"gram" entries must be integers')
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError('"label" must be a string')
+    return GramLattice(ExactMatrix.from_rows(rows), label=label)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from k3verify import families
+from k3verify import families, lattice
 from k3verify.cli import main
 from k3verify.wpoly import WeightedPolynomial
 
@@ -78,6 +78,33 @@ def test_lattices_user_file_failure(tmp_path, capsys):
 
 def test_lattices_user_file_missing():
     assert main(["lattices", "--lattice", "/nonexistent/lat.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]"],
+    ids=["missing", "gram-not-a-list", "no-gram", "top-level-list"],
+)
+def test_lattices_bad_user_file_exits_two_before_any_check(tmp_path, monkeypatch,
+                                                          capsys, content):
+    path = tmp_path / "lat.json"
+    if content is not None:
+        path.write_text(content)
+    built_in = []
+    monkeypatch.setattr(lattice, "a_lattice", lambda: built_in.append(1))
+    assert main(["lattices", "--lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert built_in == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_lattices_negative_bound_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattices", "--bound", "-1"])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
 
 
 def _statuses(capsys):

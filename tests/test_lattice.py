@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from k3verify import lattice
 from k3verify.exactalg import ExactMatrix
 from k3verify.lattice import (
     DegenerateLatticeError,
@@ -240,3 +242,119 @@ def test_json_roundtrip():
     again = lattice_from_json(lattice_to_json(a))
     assert again.gram == a.gram
     assert again.label == "A"
+
+
+def _gram_strategy(st):
+    """Even symmetric integer Gram matrices of rank 1 to 6."""
+
+    def build(n):
+        entries = st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n)
+
+        def gram(values):
+            rows = [[values[i * n + j] if i <= j else values[j * n + i] for j in range(n)]
+                    for i in range(n)]
+            for i in range(n):
+                rows[i][i] *= 2
+            return GramLattice(ExactMatrix.from_rows(rows))
+
+        return entries.map(gram)
+
+    return st.integers(1, 6).flatmap(build)
+
+
+def test_inner_matches_fraction_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coord = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_gram_strategy(st), st.data())
+    def check(lat, data):
+        u = data.draw(st.lists(coord, min_size=lat.rank, max_size=lat.rank))
+        v = data.draw(st.lists(coord, min_size=lat.rank, max_size=lat.rank))
+        gv = [sum(lat.gram[i, j] * Fraction(v[j]) for j in range(lat.rank))
+              for i in range(lat.rank)]
+        expected = sum(Fraction(u[i]) * gv[i] for i in range(lat.rank))
+        value = lat.inner(u, v)
+        assert value == expected and hash(value) == hash(expected)
+        assert lat.norm(v) == lat.inner(v, v)
+        if all(type(x) is int for x in u + v):
+            assert type(value) is int
+
+    check()
+
+
+def test_inner_dimension_mismatch():
+    with pytest.raises(ValueError):
+        a_lattice().inner((1, 0, 0), (1, 0, 0, 0, 0, 0))
+
+
+def test_reflection_matrix_formula_on_box():
+    # every norm -2 vector of A in [-2, 2]^6: the matrix is I + delta (G delta)^T
+    a = a_lattice()
+    deltas = [v for v in product(range(-2, 3), repeat=6) if any(v) and a.norm(v) == -2]
+    assert deltas
+    for delta in deltas:
+        gd = a.gram.apply(delta)
+        expected = ExactMatrix.from_rows(
+            [[(r == c) + delta[r] * gd[c] for c in range(6)] for r in range(6)]
+        )
+        sigma = reflection(a, delta)
+        assert sigma.matrix == expected
+        assert (sigma.det, sigma.fixes_discriminant_group) == (-1, True)
+
+
+def test_reflection_rejects_rational_vector():
+    u = catalog("U")
+    assert u.norm((2, Fraction(-1, 2))) == -2
+    with pytest.raises(ValueError):
+        reflection(u, (2, Fraction(-1, 2)))
+
+
+def test_reflections_compute_smith_form_once(monkeypatch):
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    a = a_lattice()
+    deltas = [v for v in product(range(-1, 2), repeat=6) if any(v) and a.norm(v) == -2]
+    for delta in random.Random(7).sample(deltas, 50):
+        assert reflection(a, delta).fixes_discriminant_group
+    assert len(calls) == 1
+    discriminant_group(a)
+    assert len(calls) == 1
+
+
+def test_discriminant_group_degenerate():
+    with pytest.raises(DegenerateLatticeError):
+        discriminant_group(GramLattice(ExactMatrix.from_rows([[0, 0], [0, 2]])))
+
+
+def test_primitive_sublattice_dependent():
+    with pytest.raises(DependentBasisError):
+        is_primitive_sublattice(catalog("U"), [(1, 0), (2, 0)])
+    with pytest.raises(DependentBasisError):
+        is_primitive_sublattice(catalog("U"), [(1, 0), (0, 1), (1, 1)])
+    assert is_primitive_sublattice(catalog("U"), [])
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[[0, 1], [1, 0]]", "object"),
+        ('{"label": "x"}', '"gram"'),
+        ('{"gram": 5}', '"gram"'),
+        ('{"gram": [[0, 1], 5]}', '"gram"'),
+        ('{"gram": [[0, 1], [1]]}', "ragged"),
+        ('{"gram": [[0, 1.5], [1.5, 0]]}', "integers"),
+        ('{"gram": [[0, "1"], ["1", 0]]}', "integers"),
+        ('{"gram": [[0, 1], [1, 0]], "label": 3}', '"label"'),
+    ],
+)
+def test_json_malformed(text, field):
+    with pytest.raises(ValueError, match=field):
+        lattice_from_json(text)
