@@ -197,9 +197,12 @@ def run_lattices(args) -> CheckReport:
 
 
 def _parse_t(text: str) -> families.ParameterPoint:
-    parts = [Fraction(p) for p in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("--t needs five comma-separated rationals")
+    try:
+        parts = [Fraction(p) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        parts = None
+    if parts is None or len(parts) != 5:
+        raise ValueError(f"--t needs five comma-separated rationals, got {text!r}")
     return families.ParameterPoint(*parts)
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
 
+from . import upoly
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
 from .weierstrass import WeierstrassModel
 from .wpoly import (
@@ -229,24 +230,21 @@ def pit_disc_factorization(cfg: PitConfig):
     """
     r = r_poly()
     d90 = printed_d90()
-    big_r = big_r_symbolic()
-    x_table = VariableTable(("x0",), (1,))
+    view = big_r_symbolic().univariate_view("x0")
+    n = len(view) - 1
     c_fit = None
     used = 0
     for trial in range(cfg.trials):
         t_point = sample_point(cfg, trial, 5)
         r_val = r.evaluate(t_point)
         d_val = d90.evaluate(t_point)
-        coeffs = [
-            poly.evaluate(t_point + (0,))
-            for poly in big_r.univariate_view("x0")
-        ]
+        coeffs = [poly.evaluate(t_point + (0,)) for poly in view]
         if coeffs[-1] == 0:
             continue
-        univ = WeightedPolynomial.from_terms(
-            x_table, {(i,): c for i, c in enumerate(coeffs) if c}
-        )
-        disc_val = discriminant(univ, "x0").constant_value()
+        # disc(lam * f) = lam^(2n - 2) * disc(f) clears the denominators
+        lam = lcm(*(c.denominator for c in coeffs))
+        scaled = tuple([c.numerator * (lam // c.denominator) for c in coeffs])
+        disc_val = Fraction(upoly.discriminant(scaled), lam ** (2 * n - 2))
         rhs = r_val ** 3 * d_val
         used += 1
         if rhs == 0:
@@ -485,34 +483,18 @@ def irreducibility_certificate(
         return IrreducibilityCertificate(
             False, reason=f"nontrivial content in {var}: {render(content.content)}"
         )
-    others = [name for name in poly.table.names if name != var]
     var_index = poly.table.index(var)
     for trial in range(cfg.trials):
         state = splitmix64((cfg.seed + 0x5EED + trial) & ((1 << 64) - 1))
-        values = []
-        for i in range(len(others)):
-            v = splitmix64((state + 977 * (i + 1)) & ((1 << 64) - 1))
-            values.append(v % 41 - 20)
-        point = [0] * len(poly.table.names)
-        j = 0
-        for i, name in enumerate(poly.table.names):
-            if name != var:
-                point[i] = values[j]
-                j += 1
-        coeffs = []
-        ok = True
-        for c in view:
-            value = c.evaluate(tuple(point))
-            if value.denominator != 1:
-                ok = False
-                break
-            coeffs.append(value.numerator)
-        if not ok:
+        values = [
+            splitmix64((state + 977 * (i + 1)) & ((1 << 64) - 1)) % 41 - 20
+            for i in range(len(poly.table) - 1)
+        ]
+        point = values[:var_index] + [0] + values[var_index:]
+        specialized = [c.evaluate(point) for c in view]
+        if any(v.denominator != 1 for v in specialized) or specialized[degree] == 0:
             continue
-        while len(coeffs) < degree + 1:
-            coeffs.append(0)
-        if coeffs[degree] == 0:
-            continue
+        coeffs = [v.numerator for v in specialized]
         for p in primes:
             if coeffs[degree] % p == 0:
                 continue

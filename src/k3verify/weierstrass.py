@@ -7,14 +7,21 @@ degree bounds (4h, 6h, 12h) for (g2, g3, Delta); K3 surfaces have h = 2.
 Fiber classification never factors polynomials over the rationals: the roots
 of Delta are grouped into squarefree strata on which the vanishing orders of
 g2, g3 and Delta are constant, so the Kodaira type is decided per stratum.
+
+The strata, gcds, multiplicities and valuations are computed in Z[x] (see
+``upoly``) on the primitive integer associates of g2, g3 and Delta, which a
+model computes once.  ``Fraction`` returns only at the boundary: the monic
+strata of ``squarefree_strata``, finite places and rendered place
+polynomials, and the g2 and g3 of a twisted-down model.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import upoly
 from .wpoly import VariableTable, WeightedPolynomial, parse, render
 
 INFINITY = math.inf
@@ -42,10 +49,6 @@ class IdenticallyZeroError(ValueError):
 
 class InconsistentValuationsError(ValueError):
     """Valuation triple matches no row of the Kodaira table."""
-
-
-class IrrationalRootUnresolvedError(ValueError):
-    """A stratum of Delta could not be classified uniformly."""
 
 
 @dataclass(frozen=True)
@@ -88,115 +91,20 @@ class KodairaType:
 NON_MINIMAL = "NonMinimal"
 
 
-# -- exact univariate polynomials as low-to-high Fraction tuples ---------------
+# -- the model and its integer associates ------------------------------------
 
 
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _integral(coeffs):
+    """(scale, part): coeffs = scale * part with scale a Fraction and part the
+    primitive integer associate (positive leading coefficient) of coeffs."""
+    coeffs = [Fraction(c) for c in upoly.trim(coeffs)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    content, part = upoly.primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return Fraction(content, den), part
 
 
-def _pdeg(c):
-    return len(c) - 1
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        [
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ]
-    )
-
-
-def _pscale(a, s):
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _ppow(a, k):
-    out = (Fraction(1),)
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        shift = len(r) - 1 - db
-        f = r[-1] / lb
-        q[shift] = f
-        for i in range(len(b)):
-            r[shift + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return _ptrim(q), _ptrim(r)
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = tuple(c / a[-1] for c in a)
-    return a
-
-
-def _pderiv(a):
-    return _ptrim([i * a[i] for i in range(1, len(a))])
-
-
-def _peval(a, x):
-    value = Fraction(0)
-    for c in reversed(a):
-        value = value * Fraction(x) + c
-    return value
-
-
-def _multiplicity_at(a, point) -> int:
-    """Vanishing order of a nonzero polynomial at a rational point."""
-    count = 0
-    divisor = (-Fraction(point), Fraction(1))
-    while a:
-        q, r = _pdivmod(a, divisor)
-        if r:
-            break
-        a = q
-        count += 1
-    return count
-
-
-def _multiplicity_of_factor(a, f) -> int:
-    """How many times the polynomial f divides a (f nonconstant)."""
-    count = 0
-    while a:
-        q, r = _pdivmod(a, f)
-        if r:
-            break
-        a = q
-        count += 1
-    return count
+def _monic(a):
+    return tuple([Fraction(c, a[-1]) for c in a])
 
 
 def squarefree_strata(a):
@@ -204,51 +112,37 @@ def squarefree_strata(a):
 
     Each f_k is monic squarefree of positive degree; distinct f_k are coprime.
     """
-    a = _ptrim(a)
-    if _pdeg(a) < 1:
-        return []
-    a = tuple(c / a[-1] for c in a)
-    d = _pderiv(a)
-    g = _pgcd(a, d)
-    if _pdeg(g) < 1:
-        return [(a, 1)]
-    strata = []
-    c = _pdivmod(a, g)[0]
-    w = _pdivmod(d, g)[0]
-    k = 1
-    while _pdeg(c) >= 1:
-        diff = _padd(w, _pscale(_pderiv(c), -1))
-        f = _pgcd(c, diff)
-        if _pdeg(f) >= 1:
-            strata.append((f, k))
-        c = _pdivmod(c, f)[0]
-        w = _pdivmod(diff, f)[0]
-        k += 1
-    return strata
+    return [(_monic(f), k) for f, k in upoly.squarefree(_integral(a)[1])]
+
+
+def _multiplicity(a, f):
+    """How many times the nonconstant primitive f divides a; INFINITY for a = 0."""
+    if not a:
+        return INFINITY
+    count = 0
+    while (a := upoly.exact_div(a, f)) is not None:
+        count += 1
+    return count
 
 
 def _mult_partition(f, poly):
-    """Partition a monic squarefree f by multiplicity of its factors in poly.
+    """Partition a squarefree primitive f by multiplicity of its factors in poly.
 
-    Returns a list of (g, m) with the g monic, squarefree, pairwise coprime,
-    prod g = f, and every irreducible factor of g dividing poly exactly m
-    times.  A zero poly gives [(f, INFINITY)].
+    Returns a list of (g, m) with the g primitive, squarefree, pairwise
+    coprime, prod g = f up to sign, and every irreducible factor of g dividing
+    poly exactly m times.  A zero poly gives [(f, INFINITY)].
     """
-    f = _ptrim(f)
     if not poly:
         return [(f, INFINITY)]
-    parts = []
-    current = f
-    remaining = poly
-    m = 0
-    while _pdeg(current) >= 1:
-        deeper = _pgcd(current, remaining)
-        factor = _pdivmod(current, deeper)[0]
-        if _pdeg(factor) >= 1:
+    parts, current, remaining, m = [], f, poly, 0
+    while len(current) > 1:
+        deeper = upoly.gcd(current, remaining)
+        factor = upoly.exact_div(current, deeper)
+        if len(factor) > 1:
             parts.append((factor, m))
-        if _pdeg(deeper) < 1:
+        if len(deeper) < 2:
             break
-        remaining = _pdivmod(remaining, deeper)[0]
+        remaining = upoly.exact_div(remaining, deeper)
         current = deeper
         m += 1
     return parts
@@ -256,35 +150,41 @@ def _mult_partition(f, poly):
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """Fibration z^2 = y^3 + g2(x0) y + g3(x0) of a given height over P^1."""
+    """Fibration z^2 = y^3 + g2(x0) y + g3(x0) of a given height over P^1.
+
+    g2 and g3 are Fraction tuples.  The classification reads int_g2 and
+    int_g3, their (scale, primitive integer part) pairs, and int_delta, the
+    primitive integer associate of Delta; all three are computed once here.
+    """
 
     g2: tuple
     g3: tuple
     height: int = 2
+    int_g2: tuple = field(init=False, repr=False, compare=False)
+    int_g3: tuple = field(init=False, repr=False, compare=False)
+    int_delta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "g2", _ptrim(Fraction(c) for c in self.g2))
-        object.__setattr__(self, "g3", _ptrim(Fraction(c) for c in self.g3))
+        object.__setattr__(self, "g2", upoly.trim(Fraction(c) for c in self.g2))
+        object.__setattr__(self, "g3", upoly.trim(Fraction(c) for c in self.g3))
         if self.height < 0:
             raise ValueError("height must be >= 0")
-        if _pdeg(self.g2) > 4 * self.height or _pdeg(self.g3) > 6 * self.height:
+        if len(self.g2) > 4 * self.height + 1 or len(self.g3) > 6 * self.height + 1:
             raise ValueError("coefficient degree exceeds the height bounds")
-        if not self.delta():
+        (s2, a2), (s3, a3) = _integral(self.g2), _integral(self.g3)
+        # with s2 = n2 / d2 and s3 = n3 / d3, d2^3 d3^2 Delta is this integer
+        # polynomial, and a positive factor keeps the primitive part
+        delta = upoly.primitive(upoly.combine(
+            upoly.power(a2, 3), 4 * s2.numerator ** 3 * s3.denominator ** 2,
+            upoly.power(a3, 2), 27 * s3.numerator ** 2 * s2.denominator ** 3))[1]
+        if not delta:
             raise IdenticallyZeroError("discriminant vanishes identically")
-
-    def delta(self):
-        """Discriminant 4 g2^3 + 27 g3^2 as a coefficient tuple."""
-        return _padd(
-            _pscale(_ppow(self.g2, 3), 4), _pscale(_ppow(self.g3, 2), 27)
-        )
+        object.__setattr__(self, "int_g2", (s2, a2))
+        object.__setattr__(self, "int_g3", (s3, a3))
+        object.__setattr__(self, "int_delta", delta)
 
     def degree_bounds(self):
         return 4 * self.height, 6 * self.height, 12 * self.height
-
-
-def classical_coefficients(model: WeierstrassModel):
-    """Coefficients (h2, h3) of the classical form z^2 = y^3 - h2 y - h3."""
-    return _pscale(model.g2, -1), _pscale(model.g3, -1)
 
 
 def local_valuations(model: WeierstrassModel, point):
@@ -294,16 +194,15 @@ def local_valuations(model: WeierstrassModel, point):
     the bounds are the model's (4h, 6h, 12h); an identically zero g2 or g3
     reports INFINITY.
     """
-    b2, b3, bd = model.degree_bounds()
-    delta = model.delta()
+    parts = (model.int_g2[1], model.int_g3[1], model.int_delta)
     if point is INFINITY:
-        v2 = INFINITY if not model.g2 else b2 - _pdeg(model.g2)
-        v3 = INFINITY if not model.g3 else b3 - _pdeg(model.g3)
-        vd = bd - _pdeg(delta)
-        return v2, v3, vd
-    v2 = INFINITY if not model.g2 else _multiplicity_at(model.g2, point)
-    v3 = INFINITY if not model.g3 else _multiplicity_at(model.g3, point)
-    return v2, v3, _multiplicity_at(delta, point)
+        return tuple([
+            INFINITY if not p else bound - (len(p) - 1)
+            for p, bound in zip(parts, model.degree_bounds())
+        ])
+    point = Fraction(point)
+    linear = (-point.numerator, point.denominator)
+    return tuple([_multiplicity(p, linear) for p in parts])
 
 
 def kodaira_from_valuations(v2, v3, vd):
@@ -337,49 +236,38 @@ def kodaira_from_valuations(v2, v3, vd):
     raise InconsistentValuationsError(f"no table row for {(v2, v3, vd)}")
 
 
-def minimalize_at(model: WeierstrassModel, point) -> WeierstrassModel:
-    """Twist down at one point while (v2, v3) >= (4, 6); drops height by 1 each step."""
-    current = model
-    while True:
-        v2, v3, _vd = local_valuations(current, point)
-        if not (v2 >= 4 and v3 >= 6):
-            return current
-        if point is INFINITY:
-            g2, g3 = current.g2, current.g3
-        else:
-            lin = (-Fraction(point), Fraction(1))
-            g2 = _pdivmod(current.g2, _ppow(lin, 4))[0] if current.g2 else ()
-            g3 = _pdivmod(current.g3, _ppow(lin, 6))[0] if current.g3 else ()
-        current = WeierstrassModel(g2, g3, current.height - 1)
+def _twist(model: WeierstrassModel, f):
+    """The model with g2 / f^4 and g3 / f^6 (f taken monic) and its height
+    lowered by deg f, or None when f^4 does not divide g2 or f^6 not g3."""
+    coeffs = []
+    for (scale, part), k in ((model.int_g2, 4), (model.int_g3, 6)):
+        quotient = upoly.exact_div(part, upoly.power(f, k))
+        if quotient is None:
+            return None
+        scale *= f[-1] ** k
+        coeffs.append(tuple([scale * c for c in quotient]))
+    return WeierstrassModel(coeffs[0], coeffs[1], model.height - (len(f) - 1))
 
 
 def minimalize_everywhere(model: WeierstrassModel) -> WeierstrassModel:
-    """Remove every (4, 6)-divisible locus, rational or not."""
-    current = minimalize_at(model, INFINITY)
-    changed = True
-    while changed:
-        changed = False
-        for f, vd in squarefree_strata(current.delta()):
-            if vd < 12:
-                continue
-            m2 = _multiplicity_of_factor(current.g2, f) if current.g2 else None
-            m3 = _multiplicity_of_factor(current.g3, f) if current.g3 else None
-            if (m2 is None or m2 >= 4) and (m3 is None or m3 >= 6):
-                g2 = (
-                    _pdivmod(current.g2, _ppow(f, 4))[0] if current.g2 else ()
-                )
-                g3 = (
-                    _pdivmod(current.g3, _ppow(f, 6))[0] if current.g3 else ()
-                )
-                current = WeierstrassModel(g2, g3, current.height - _pdeg(f))
-                changed = True
+    """Remove every (4, 6)-divisible locus, rational or not.
+
+    A twist at infinity lowers the height and keeps g2 and g3; a twist along
+    a stratum f of Delta divides g2 by f^4 and g3 by f^6 and lowers the
+    height by deg f, which leaves the valuations at infinity unchanged.
+    """
+    current = model
+    while True:
+        v2, v3, _vd = local_valuations(current, INFINITY)
+        if v2 >= 4 and v3 >= 6:
+            current = WeierstrassModel(current.g2, current.g3, current.height - 1)
+            continue
+        for f, vd in upoly.squarefree(current.int_delta):
+            if vd >= 12 and (twisted := _twist(current, f)) is not None:
+                current = twisted
                 break
-        if not changed:
-            final = minimalize_at(current, INFINITY)
-            if final is not current:
-                current = final
-                changed = True
-    return current
+        else:
+            return current
 
 
 @dataclass(frozen=True)
@@ -409,23 +297,10 @@ class FiberConfiguration:
 
     def summary(self) -> str:
         counts = self.counts_by_symbol()
-        order = sorted(
-            counts,
-            key=lambda s: (-_symbol_euler(s), s),
-        )
-        parts = []
-        for symbol in order:
-            n = counts[symbol]
-            parts.append(symbol if n == 1 else f"{n} {symbol}")
+        euler = {e.kodaira.symbol: e.kodaira.euler_number for e in self.fibers}
+        order = sorted(counts, key=lambda s: (-euler[s], s))
+        parts = [s if counts[s] == 1 else f"{counts[s]} {s}" for s in order]
         return " + ".join(parts) if parts else "smooth"
-
-
-def _symbol_euler(symbol: str) -> int:
-    if symbol.startswith("I") and symbol not in ("II", "III", "IV", "II*", "III*", "IV*"):
-        star = symbol.endswith("*")
-        n = int(symbol[1:-1] if star else symbol[1:])
-        return 6 + n if star else n
-    return _KODAIRA_EULER[symbol]
 
 
 def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
@@ -443,9 +318,9 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
         raise ValueError("model is not minimal at infinity")
     if t_inf.euler_number:
         entries.append(FiberEntry(INFINITY, t_inf, 1))
-    for f, k in squarefree_strata(model.delta()):
-        for g, m2 in _mult_partition(f, model.g2):
-            for h, m3 in _mult_partition(g, model.g3):
+    for f, k in upoly.squarefree(model.int_delta):
+        for g, m2 in _mult_partition(f, model.int_g2[1]):
+            for h, m3 in _mult_partition(g, model.int_g3[1]):
                 t = kodaira_from_valuations(m2, m3, k)
                 if t is NON_MINIMAL:
                     raise ValueError(
@@ -453,19 +328,21 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
                     )
                 if t.euler_number == 0:
                     continue
-                if _pdeg(h) == 1:
-                    place = -h[0] / h[1]
-                    entries.append(FiberEntry(place, t, 1))
+                if len(h) == 2:
+                    entries.append(FiberEntry(Fraction(-h[0], h[1]), t, 1))
                 else:
-                    entries.append(FiberEntry(_render_place(h), t, _pdeg(h)))
+                    entries.append(FiberEntry(_render_place(h), t, len(h) - 1))
     return FiberConfiguration(tuple(entries))
 
 
+def _render(coeffs):
+    return render(WeightedPolynomial.from_terms(
+        _X0_TABLE, {(i,): c for i, c in enumerate(coeffs) if c}))
+
+
 def _render_place(coeffs):
-    p = WeightedPolynomial.from_terms(
-        _X0_TABLE, {(i,): c for i, c in enumerate(coeffs) if c}
-    )
-    return render(p)
+    """The monic polynomial with the roots of the integer tuple coeffs."""
+    return _render(_monic(coeffs))
 
 
 def is_k3(model: WeierstrassModel) -> bool:
@@ -486,13 +363,7 @@ def _coeffs_from_poly(p: WeightedPolynomial):
 
 
 def model_to_json(model: WeierstrassModel) -> str:
-    g2 = WeightedPolynomial.from_terms(
-        _X0_TABLE, {(i,): c for i, c in enumerate(model.g2) if c}
-    )
-    g3 = WeightedPolynomial.from_terms(
-        _X0_TABLE, {(i,): c for i, c in enumerate(model.g3) if c}
-    )
-    return json.dumps({"g2": render(g2), "g3": render(g3)})
+    return json.dumps({"g2": _render(model.g2), "g3": _render(model.g3)})
 
 
 def model_from_json(text: str, height: int = 2) -> WeierstrassModel:

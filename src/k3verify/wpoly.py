@@ -257,14 +257,21 @@ class WeightedPolynomial:
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point given as one rational per variable."""
-        vals = [Fraction(x) for x in point]
+        """Exact value at a point given as one rational per variable.
+
+        The coefficients are scaled to integers over their common denominator
+        and integral coordinates are kept as ``int``, so at an integer point
+        only the final division builds a ``Fraction``.
+        """
+        vals = [x if isinstance(x, int) else Fraction(x) for x in point]
+        vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in vals]
         if len(vals) != len(self.table):
             raise ValueError("point length does not match variable table")
-        total = Fraction(0)
-        power_cache = [{0: Fraction(1)} for _ in vals]
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
+        power_cache = [{} for _ in vals]
         for exp, coeff in self.terms.items():
-            prod = coeff
+            prod = coeff.numerator * (den // coeff.denominator)
             for i, e in enumerate(exp):
                 if e:
                     cache = power_cache[i]
@@ -272,7 +279,7 @@ class WeightedPolynomial:
                         cache[e] = vals[i] ** e
                     prod *= cache[e]
             total += prod
-        return total
+        return Fraction(total, den)
 
     def substitute(self, assignments: dict) -> "WeightedPolynomial":
         """Compose with polynomial assignments for some of the variables.

@@ -5,6 +5,7 @@ import pytest
 
 from k3verify import families, lattice
 from k3verify.cli import main
+from k3verify.eliminate import PitConfig
 from k3verify.wpoly import WeightedPolynomial
 
 
@@ -39,6 +40,16 @@ def test_fibers_fixture_suite(capsys):
 def test_fibers_bad_point_exit_two():
     assert main(["fibers", "--t", "1,2"]) == 2
     assert main(["fibers", "--t", "1,1,banana,1,2"]) == 2
+
+
+@pytest.mark.parametrize("text", ["1/0,1,1,1,1", "1,1,banana,1,2"],
+                         ids=["zero-denominator", "non-numeric"])
+def test_fibers_bad_t_exits_two_naming_the_flag(capsys, text):
+    assert main(["fibers", "--t", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t ")
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_subcommand_exit_two():
@@ -143,3 +154,16 @@ def test_cd_wrong_constant_fails(monkeypatch, capsys):
     statuses = _statuses(capsys)
     assert statuses["disc(R0) = c' * gamma^3 * r0^3 * d0"] == "pass"
     assert statuses["c' = 544195584"] == "fail"
+
+
+def test_disc_factor_pit_wrong_d90_fails(monkeypatch, capsys):
+    # d90 + t18^5 has the same weight 90, so only the values can expose it
+    t18 = WeightedPolynomial.variable(families.T_TABLE, "t18")
+    wrong = families.printed_d90() + t18 ** 5
+    monkeypatch.setattr(families, "printed_d90", lambda: wrong)
+    _c, _used, ok, witness = families.pit_disc_factorization(PitConfig(trials=12, seed=3))
+    assert ok is False
+    assert len(witness) == 5 and witness[4] != 0
+    assert main(["disc-factor", "--pit", "--trials", "12", "--seed", "3", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R) = c * r^3 * d90 (probabilistic)"] == "fail"

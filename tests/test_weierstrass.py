@@ -18,7 +18,8 @@ from k3verify.weierstrass import (
     model_to_json,
     squarefree_strata,
 )
-from k3verify.families import build_s, sample_points
+from k3verify.eliminate import PitConfig, sample_point
+from k3verify.families import ParameterPoint, build_s, sample_points
 
 
 def _points():
@@ -97,6 +98,88 @@ def test_squarefree_strata():
     strata = squarefree_strata(tuple(Fraction(c) for c in prod))
     mults = sorted(m for _f, m in strata)
     assert mults == [2, 3]
+
+
+def _sympy_strata(sympy, x, coeffs):
+    poly = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x
+    )
+    _lc, factors = sympy.sqf_list(poly)
+    strata = []
+    for f, k in factors:
+        monic = f.monic().all_coeffs()[::-1]
+        strata.append((tuple(Fraction(int(c.p), int(c.q)) for c in monic), k))
+    return strata
+
+
+def test_squarefree_strata_matches_sympy():
+    # Delta is formed by sympy from g2 and g3, so the oracle shares no code
+    # with the classifier; the rational points scale Delta by a lambda that
+    # makes the content non-primitive and, for some, the leading
+    # coefficient negative.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    points = [(p, 1) for p in _points().values()]
+    for trial in range(20):
+        t = sample_point(PitConfig(trials=1, seed=7, sample_bound=6), trial, 5)
+        if any(t):
+            points.append((ParameterPoint(*t), 1))
+    rational = [
+        ((Fraction(1, 2), 3, Fraction(-2, 3), 5, 1), Fraction(-6, 7)),
+        ((2, Fraction(1, 3), 1, 0, Fraction(5, 2)), 12),
+        ((0, 0, Fraction(7, 4), Fraction(-1, 5), 1), -4),
+        ((Fraction(-3, 2), 1, 1, 1, 0), Fraction(9, 2)),
+        ((1, 1, 1, 1, Fraction(-1, 9)), Fraction(-10, 3)),
+    ]
+    points += [(ParameterPoint(*t), lam) for t, lam in rational]
+    assert len(points) == 30
+    for point, lam in points:
+        model = build_s(point)
+        g2 = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                 for i, c in enumerate(model.g2))
+        g3 = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                 for i, c in enumerate(model.g3))
+        delta = sympy.Poly(lam * (4 * g2 ** 3 + 27 * g3 ** 2), x)
+        coeffs = tuple(Fraction(int(c.p), int(c.q)) for c in delta.all_coeffs()[::-1])
+        assert squarefree_strata(coeffs) == _sympy_strata(sympy, x, coeffs)
+
+
+def test_squarefree_strata_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def times(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return tuple(out)
+
+    # distinct rational roots a/b and distinct x^2 + c (c > 0) keep the f_i
+    # squarefree and pairwise coprime
+    roots = st.fractions(-6, 6, max_denominator=4)
+    factors = st.one_of(
+        roots.map(lambda r: ("root", r)), st.integers(1, 9).map(lambda c: ("quad", c))
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.lists(st.tuples(factors, st.integers(1, 4)), min_size=1, max_size=6,
+                 unique_by=lambda item: item[0]),
+        st.fractions(-20, 20, max_denominator=9).filter(bool),
+    )
+    def check(assignment, lam):
+        strata = {}
+        for (kind, value), k in assignment:
+            factor = (-value, Fraction(1)) if kind == "root" else (Fraction(value), 0, 1)
+            strata[k] = times(strata.get(k, (Fraction(1),)), tuple(map(Fraction, factor)))
+        poly = (Fraction(lam),)
+        for k, f in strata.items():
+            for _ in range(k):
+                poly = times(poly, f)
+        assert squarefree_strata(poly) == [(f, k) for k, f in sorted(strata.items())]
+
+    check()
 
 
 def test_minimalize_everywhere_drop():
