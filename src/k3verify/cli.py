@@ -2,7 +2,9 @@
 
 Every subcommand produces a CheckReport; ``--json`` prints the stable JSON
 schema {"suite", "checks", "seed", "runtime_ms", "constants"}.  Exit code 0
-means no check failed, 1 means at least one failure, 2 means a usage error.
+means no check failed, 1 means at least one failure, 2 means a usage error,
+3 means an internal error (an ``ArithmeticError`` or ``AssertionError``
+escaped a suite; nothing was verified or refuted).
 ``all`` runs the suites one after another in manifest order.
 """
 from __future__ import annotations
@@ -410,6 +412,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # a crash in the algebra is not a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     print(report.to_json() if args.json else report.to_text())
     return 1 if report.failed else 0

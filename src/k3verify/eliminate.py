@@ -1,9 +1,13 @@
 """Resultants, discriminants, and probabilistic polynomial-identity testing.
 
 The resultant is defined as the determinant of the Sylvester matrix with the
-rows of the first argument on top.  It is computed by the subresultant
-polynomial remainder sequence, run on the integer kernel of ``wpoly`` after
-clearing denominators.  A fraction-free Bareiss determinant of the Sylvester
+rows of the first argument on top.  It is computed by Ducos' subresultant
+algorithm (Ducos, "Optimizations of the subresultant algorithm", JPAA 145,
+2000), run on the integer kernel of ``wpoly`` after clearing denominators:
+one pseudo-remainder, then each subresultant from the previous two by Ducos'
+reduction, which divides exactly as it goes instead of forming the full
+pseudo-remainder, and each power quotient x^n / y^(n-1) by Lazard's
+square-and-divide.  A fraction-free Bareiss determinant of the Sylvester
 matrix (``method="bareiss"``) yields the identical value and serves as an
 independent oracle.
 """
@@ -161,6 +165,8 @@ def resultant(
     Equals the Sylvester determinant with f-rows on top.  A constant operand is
     handled as lc(const)^deg(other); two constants raise BothConstantError.
     """
+    if method not in ("auto", "prs", "bareiss"):
+        raise ValueError(f"unknown method {method!r}")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
     a = f.univariate_view(var)
@@ -175,49 +181,98 @@ def resultant(
     if method == "bareiss":
         one = WeightedPolynomial.constant(f.table, 1)
         return _bareiss_poly_det(sylvester_matrix(f, g, var), one)
-    if method not in ("auto", "prs"):
-        raise ValueError(f"unknown method {method!r}")
-    return _resultant_prs(a, b)
+    return _resultant_ducos(a, b)
 
 
-def _resultant_prs(a, b):
-    """Subresultant PRS on coefficient lists of degree at least 1.
+def _resultant_ducos(a, b):
+    """Ducos' subresultant algorithm on coefficient lists of degree at least 1.
 
     Denominators are cleared first: with a = sa * A and b = sb * B integral,
-    res(a, b) = sa^deg(b) * sb^deg(a) * res(A, B).
+    res(a, b) = sa^deg(b) * sb^deg(a) * res(A, B).  One pseudo-remainder
+    starts the sequence; every later subresultant comes from
+    :func:`_ducos_reduction`, and each regular subresultant S_e and the final
+    resultant from :func:`_lazard`.  The sign follows the subresultant PRS:
+    it flips whenever two consecutive degrees are both odd.
     """
     kernel = _Kernel(a[0].table)
-    sa, a = kernel.pack(a)
-    sb, b = kernel.pack(b)
+    sa, p = kernel.pack(a)
+    sb, q = kernel.pack(b)
     scale = sa ** (len(b) - 1) * sb ** (len(a) - 1)
-    mul, exact_div, power = kernel.mul, kernel.exact_div, kernel.pow
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
+    if len(p) < len(q):
+        p, q = q, p
+    elif (len(p) - 1) % 2 == 1 and (len(q) - 1) % 2 == 1:
+        scale = -scale
+    s = kernel.pow(q[-1], len(p) - len(q))
+    p, q = q, _trim(_prem(p, q, kernel))
+    while len(q) > 1:
+        delta = len(p) - len(q)
+        z = q
+        if delta > 1:
+            lift = _lazard(q[-1], s, delta - 1, kernel)
+            z = [kernel.exact_div(kernel.mul(c, lift), s) for c in q]
+        if (len(p) - 1) % 2 == 1 and (len(q) - 1) % 2 == 1:
             scale = -scale
-        a, b = b, a
-    g = kernel.one()
-    h = kernel.one()
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            scale = -scale
-        r = _prem(a, b, kernel)
-        a = b
-        denom = mul(g, power(h, delta))
-        b = _trim([exact_div(c, denom) for c in r])
-        if not b:
-            return kernel.poly({})
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(power(g, delta), power(h, delta - 1))
-        if len(b) - 1 == 0:
-            break
-    q = len(a) - 1
-    res = b[0] if q == 1 else exact_div(power(b[0], q), power(h, q - 1))
-    return kernel.poly(res, scale)
+        p, q = z, _trim(_ducos_reduction(p, q, z, s, kernel))
+        s = p[-1]
+    if not q:
+        return kernel.poly({})
+    return kernel.poly(_lazard(q[0], s, len(p) - 1, kernel), scale)
+
+
+def _lazard(x, y, n, kernel):
+    """x^n / y^(n-1) by squaring, dividing by y after every product (Lazard).
+
+    Every partial power x^k / y^(k-1) is exact when x and y are the leading
+    coefficients of consecutive subresultants, so x^n and y^(n-1) are never
+    formed.
+    """
+    mul, exact_div = kernel.mul, kernel.exact_div
+    c = x
+    for bit in bin(n)[3:]:
+        c = exact_div(mul(c, c), y)
+        if bit == "1":
+            c = exact_div(mul(c, x), y)
+    return c
+
+
+def _ducos_reduction(p, q, z, s, kernel):
+    """prem(p, q) / (lc(p) * s^(deg p - deg q)) without forming prem(p, q).
+
+    ``p`` is the subresultant S_d, ``q`` the next one S_(d-1) of degree
+    e < d, ``z`` the regular S_e (a multiple of ``q`` with lc(z) =
+    lc(q)^(d-e) / s^(d-e-1)) and ``s`` the principal coefficient of S_d.
+    Ducos (JPAA 145, 2000): h_j = lc(z) x^j mod q has degree below e and
+    h_(j+1) = x h_j - [x^(e-1)]h_j * q / lc(q); then
+    sum_j p_j h_j / lc(p) reduces lc(z) * p / lc(p) mod q, and one more step
+    times lc(q) over s gives the result.  Every division is exact.
+    """
+    mul, add, sub, exact_div = kernel.mul, kernel.add, kernel.sub, kernel.exact_div
+    d, e = len(p) - 1, len(q) - 1
+    lq, tail = q[-1], q[:-1]
+
+    def scaled(poly, c):
+        return [mul(x, c) for x in poly]
+
+    def times_x(h):
+        # x * h reduced mod q; h has the e coefficients of x^0 .. x^(e-1)
+        top, h = h[-1], [{}] + h[:-1]
+        if not top:
+            return h
+        return [sub(x, exact_div(mul(top, t), lq)) for x, t in zip(h, tail)]
+
+    h = [{key: -c for key, c in x.items()} for x in z[:-1]]
+    acc = scaled(p[:e], z[-1])
+    for j in range(e, d):
+        if j > e:
+            h = times_x(h)
+        if p[j]:
+            acc = [add(x, y) for x, y in zip(acc, scaled(h, p[j]))]
+    acc = [exact_div(x, p[-1]) for x in acc]
+    top, h = h[-1], [{}] + h[:-1]
+    out = [mul(add(x, y), lq) for x, y in zip(h, acc)]
+    if top:
+        out = [sub(x, mul(top, t)) for x, t in zip(out, tail)]
+    return [exact_div(x, s) for x in out]
 
 
 def discriminant(f: WeightedPolynomial, var: str, method: str = "auto") -> WeightedPolynomial:

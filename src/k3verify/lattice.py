@@ -428,25 +428,34 @@ def _minus_two_search(lat: GramLattice, bound: int):
 
 
 def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
-    """The four Kneser conditions for an even indefinite lattice."""
+    """The four Kneser conditions for an even indefinite lattice.
+
+    A failed signature condition fixes the verdict at "fail", so the norm -2
+    box search is skipped then: ``minus_two_vector`` is "inconclusive" and
+    ``details["search_skipped"]`` is "signature".
+    """
     s_pos, s_neg = signature(lat)
     sig_ok = "pass" if min(s_pos, s_neg) >= 2 else "fail"
-    witness = _minus_two_search(lat, search_bound)
-    minus_two = "pass" if witness is not None else "inconclusive"
     r2 = rank_mod_p(lat, 2)
     r3 = rank_mod_p(lat, 3)
+    details = {
+        "signature": (s_pos, s_neg),
+        "rank_mod_2": r2,
+        "rank_mod_3": r3,
+        "search_bound": search_bound,
+    }
+    witness = None
+    if sig_ok == "pass":
+        witness = _minus_two_search(lat, search_bound)
+    else:
+        details["search_skipped"] = "signature"
     return KneserReport(
         signature_ok=sig_ok,
-        minus_two_vector=minus_two,
+        minus_two_vector="pass" if witness is not None else "inconclusive",
         rank_mod_2_ok="pass" if r2 >= 6 else "fail",
         rank_mod_3_ok="pass" if r3 >= 5 else "fail",
         witness=witness,
-        details={
-            "signature": (s_pos, s_neg),
-            "rank_mod_2": r2,
-            "rank_mod_3": r3,
-            "search_bound": search_bound,
-        },
+        details=details,
     )
 
 

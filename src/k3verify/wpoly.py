@@ -469,6 +469,18 @@ class _Kernel:
         return {0: 1}
 
     @staticmethod
+    def add(a, b):
+        out = dict(a)
+        get = out.get
+        for key, c in b.items():
+            s = get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return out
+
+    @staticmethod
     def sub(a, b):
         out = dict(a)
         get = out.get

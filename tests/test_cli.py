@@ -6,7 +6,7 @@ import pytest
 from k3verify import families, lattice
 from k3verify.cli import main
 from k3verify.eliminate import PitConfig
-from k3verify.wpoly import WeightedPolynomial
+from k3verify.wpoly import NotDivisibleError, WeightedPolynomial
 
 
 def test_dims_exit_zero(capsys):
@@ -167,3 +167,56 @@ def test_disc_factor_pit_wrong_d90_fails(monkeypatch, capsys):
     assert main(["disc-factor", "--pit", "--trials", "12", "--seed", "3", "--json"]) == 1
     statuses = _statuses(capsys)
     assert statuses["disc(R) = c * r^3 * d90 (probabilistic)"] == "fail"
+
+
+def _raise(exc):
+    def runner(*_args, **_kwargs):
+        raise exc
+    return runner
+
+
+@pytest.mark.parametrize(
+    "command, target, exc",
+    [
+        (["disc-factor"], "disc_factorization", NotDivisibleError("t4 + 1")),
+        (["disc-factor"], "disc_factorization",
+         OverflowError("monomial product exceeds the packing width")),
+        (["cd", "--json"], "cd_disc_factorization",
+         families.ConsistencyFailure("R0 is not a quintic in x1")),
+    ],
+    ids=["not-divisible", "overflow", "consistency"],
+)
+def test_internal_error_exits_three(monkeypatch, capsys, command, target, exc):
+    monkeypatch.setattr(families, target, _raise(exc))
+    assert main(command) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_d90_check_recorded_failure_exits_one(monkeypatch, capsys):
+    mismatch = families.ConsistencyFailure("d90 derivation differs in 1 monomials")
+    monkeypatch.setattr(families, "d90_poly", _raise(mismatch))
+    assert main(["d90-check", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["derived d90 equals printed d90 term-for-term"] == "fail"
+
+
+def test_user_lattice_failing_signature_skips_search(tmp_path, monkeypatch, capsys):
+    # I7(2) is positive definite: the signature condition fails, so the
+    # bound-3 box search (823,543 points) would not change the verdict
+    path = tmp_path / "i7.json"
+    gram = [[2 if i == j else 0 for j in range(7)] for i in range(7)]
+    path.write_text(json.dumps({"label": "I7(2)", "gram": gram}))
+    search = lattice._minus_two_search
+
+    def built_in_only(lat, bound):
+        assert lat.label != "I7(2)", "searched a lattice whose verdict was fixed"
+        return search(lat, bound)
+
+    monkeypatch.setattr(lattice, "_minus_two_search", built_in_only)
+    assert main(["lattices", "--lattice", str(path), "--bound", "3", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["kneser_check(I7(2))"] == "fail"

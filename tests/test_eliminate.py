@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3verify import eliminate
 from k3verify.eliminate import (
     BothConstantError,
     DegreeTooLowError,
@@ -12,7 +13,7 @@ from k3verify.eliminate import (
     resultant,
     sample_point,
 )
-from k3verify.wpoly import VariableTable, WeightedPolynomial, parse, render
+from k3verify.wpoly import VariableTable, WeightedPolynomial, _Kernel, parse, render
 
 XT = VariableTable(("a", "b", "x"), (1, 1, 1))
 
@@ -85,6 +86,93 @@ def test_resultant_multiplicative():
         g = _rand_in_x(rng, 2)
         h = _rand_in_x(rng, 2)
         assert resultant(f * g, h, "x") == resultant(f, h, "x") * resultant(g, h, "x")
+
+
+def _gapped_in_x(rng, deg, step=1):
+    """Degree ``deg`` in x, only powers divisible by ``step``, about a third of
+    the lower coefficients missing, rational coefficients in a and b."""
+    terms = {}
+    for k in range(0, deg, step):
+        if rng.random() < 0.35:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            c = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+            if c:
+                terms[(rng.randint(0, 2), rng.randint(0, 2), k)] = c
+    lead = (rng.randint(0, 1), rng.randint(0, 1), deg)
+    terms[lead] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2)))
+    return WeightedPolynomial.from_terms(XT, terms)
+
+
+def _count_defective_steps(monkeypatch):
+    """Record deg S_d - deg S_(d-1) of every Ducos reduction."""
+    gaps = []
+    reduction = eliminate._ducos_reduction
+
+    def recording(p, q, z, s, kernel):
+        gaps.append(len(p) - len(q))
+        return reduction(p, q, z, s, kernel)
+
+    monkeypatch.setattr(eliminate, "_ducos_reduction", recording)
+    return gaps
+
+
+@pytest.mark.parametrize("step", [2, 3])
+def test_ducos_defective_pairs_match_bareiss(monkeypatch, step):
+    # polynomials in x^step have remainders in x^step only, so every degree
+    # gap after the first is a multiple of step: Lazard's lift and the inner
+    # loop of the reduction run on every step
+    gaps = _count_defective_steps(monkeypatch)
+    rng = random.Random(53 + step)
+    for _ in range(30):
+        f = _gapped_in_x(rng, step * rng.randint(1, 6 // step), step=step)
+        g = _gapped_in_x(rng, step * rng.randint(1, 6 // step), step=step)
+        assert resultant(f, g, "x") == resultant(f, g, "x", method="bareiss")
+    assert gaps and all(gap % step == 0 for gap in gaps)
+
+
+def test_ducos_gapped_rational_pairs_match_bareiss(monkeypatch):
+    gaps = _count_defective_steps(monkeypatch)
+    rng = random.Random(59)
+    for _ in range(40):
+        f = _gapped_in_x(rng, rng.randint(1, 6))
+        g = _gapped_in_x(rng, rng.randint(1, 6))
+        for a, b in ((f, g), (g, f)):
+            assert resultant(a, b, "x") == resultant(a, b, "x", method="bareiss")
+    assert 1 in gaps and any(gap >= 2 for gap in gaps)
+
+
+def test_resultant_rejects_unknown_method_first():
+    # a constant operand takes a shortcut; the method is checked before it
+    with pytest.raises(ValueError, match="bogus"):
+        resultant(parse("a", XT), parse("x^2 + b", XT), "x", method="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        resultant(parse("x - a", XT), parse("x^2 + b", XT), "x", method="bogus")
+
+
+def test_disc_r_intermediates_stay_small(monkeypatch):
+    # forming the full pseudo-remainder of the last step before dividing it
+    # built a 10,344-term product here
+    from k3verify.families import big_r_symbolic
+
+    big_r = big_r_symbolic()
+    sizes = []
+    mul, exact_div = _Kernel.mul, _Kernel.exact_div
+
+    def sized_mul(self, a, b):
+        out = mul(self, a, b)
+        sizes.append(len(out))
+        return out
+
+    def sized_div(self, a, b):
+        sizes.append(len(a))
+        return exact_div(self, a, b)
+
+    monkeypatch.setattr(_Kernel, "mul", sized_mul)
+    monkeypatch.setattr(_Kernel, "exact_div", sized_div)
+    disc = discriminant(big_r, "x0")
+    assert disc.term_count() == 616
+    assert sizes and max(sizes) <= 4000
 
 
 def test_resultant_constant_operand():

@@ -146,6 +146,22 @@ def test_kneser_verdicts():
     assert kneser_check(a_cms_lattice()).overall == "fail"
 
 
+def test_kneser_skips_search_when_signature_fails(monkeypatch):
+    def search(*_args):
+        raise AssertionError("the search cannot change a failed verdict")
+
+    monkeypatch.setattr(lattice, "_minus_two_search", search)
+    i7 = GramLattice(ExactMatrix.from_rows([[2 * (i == j) for j in range(7)]
+                                            for i in range(7)]), label="I7(2)")
+    report = kneser_check(i7, search_bound=3)
+    assert report.overall == "fail"
+    assert report.signature_ok == "fail"
+    assert report.minus_two_vector == "inconclusive"
+    assert report.witness is None
+    assert report.details["signature"] == (7, 0)
+    assert report.details["search_skipped"] == "signature"
+
+
 def test_reflection_basics():
     a = a_lattice()
     delta = (0, 0, 0, 0, 1, 0)
