@@ -230,21 +230,20 @@ def pit_disc_factorization(cfg: PitConfig):
     """
     r = r_poly()
     d90 = printed_d90()
-    view = big_r_symbolic().univariate_view("x0")
-    n = len(view) - 1
+    big_r = big_r_symbolic()
+    n = big_r.degree_in("x0")
     c_fit = None
     used = 0
     for trial in range(cfg.trials):
         t_point = sample_point(cfg, trial, 5)
         r_val = r.evaluate(t_point)
         d_val = d90.evaluate(t_point)
-        coeffs = [poly.evaluate(t_point + (0,)) for poly in view]
+        coeffs, lam = big_r.univariate_at("x0", t_point + (0,))
         if coeffs[-1] == 0:
             continue
-        # disc(lam * f) = lam^(2n - 2) * disc(f) clears the denominators
-        lam = lcm(*(c.denominator for c in coeffs))
-        scaled = tuple([c.numerator * (lam // c.denominator) for c in coeffs])
-        disc_val = Fraction(upoly.discriminant(scaled), lam ** (2 * n - 2))
+        # the coefficients are coeffs / lam, and disc(lam * f) = lam^(2n - 2)
+        # * disc(f) for f of degree n
+        disc_val = Fraction(upoly.discriminant(tuple(coeffs)), lam ** (2 * n - 2))
         rhs = r_val ** 3 * d_val
         used += 1
         if rhs == 0:
@@ -491,10 +490,10 @@ def irreducibility_certificate(
             for i in range(len(poly.table) - 1)
         ]
         point = values[:var_index] + [0] + values[var_index:]
-        specialized = [c.evaluate(point) for c in view]
-        if any(v.denominator != 1 for v in specialized) or specialized[degree] == 0:
+        coeffs, den = poly.univariate_at(var, point)
+        if any(c % den for c in coeffs) or coeffs[degree] == 0:
             continue
-        coeffs = [v.numerator for v in specialized]
+        coeffs = [c // den for c in coeffs]
         for p in primes:
             if coeffs[degree] % p == 0:
                 continue

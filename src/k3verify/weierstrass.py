@@ -13,6 +13,11 @@ The strata, gcds, multiplicities and valuations are computed in Z[x] (see
 model computes once.  ``Fraction`` returns only at the boundary: the monic
 strata of ``squarefree_strata``, finite places and rendered place
 polynomials, and the g2 and g3 of a twisted-down model.
+
+The classification is cached on the model: the Yun strata of Delta, the
+minimal model and the fiber configuration are each computed at most once per
+``WeierstrassModel``.  A minimal model minimalizes to itself, so classifying a
+point and then asking ``is_k3`` runs one squarefree decomposition in all.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import upoly
 from .wpoly import VariableTable, WeightedPolynomial, parse, render
@@ -155,6 +161,9 @@ class WeierstrassModel:
     g2 and g3 are Fraction tuples.  The classification reads int_g2 and
     int_g3, their (scale, primitive integer part) pairs, and int_delta, the
     primitive integer associate of Delta; all three are computed once here.
+    ``delta_strata``, ``minimal_model`` and ``configuration`` are cached on
+    first use; a configuration that raises is not cached, so a non-minimal
+    model raises on every call.
     """
 
     g2: tuple
@@ -185,6 +194,26 @@ class WeierstrassModel:
 
     def degree_bounds(self):
         return 4 * self.height, 6 * self.height, 12 * self.height
+
+    @cached_property
+    def delta_strata(self):
+        """Yun's decomposition of int_delta as ``upoly.squarefree`` returns it."""
+        return upoly.squarefree(self.int_delta)
+
+    @cached_property
+    def _reduction(self):
+        """The minimal model, or None when that is this model: a model that
+        kept a reference to itself would wait for the cycle collector."""
+        minimal = _minimalize(self)
+        return None if minimal is self else minimal
+
+    @property
+    def minimal_model(self) -> "WeierstrassModel":
+        return self._reduction or self
+
+    @cached_property
+    def configuration(self) -> "FiberConfiguration":
+        return _classify(self)
 
 
 def local_valuations(model: WeierstrassModel, point):
@@ -255,14 +284,19 @@ def minimalize_everywhere(model: WeierstrassModel) -> WeierstrassModel:
     A twist at infinity lowers the height and keeps g2 and g3; a twist along
     a stratum f of Delta divides g2 by f^4 and g3 by f^6 and lowers the
     height by deg f, which leaves the valuations at infinity unchanged.
+    The result is cached on the model, and a minimal model is its own result.
     """
+    return model.minimal_model
+
+
+def _minimalize(model: WeierstrassModel) -> WeierstrassModel:
     current = model
     while True:
         v2, v3, _vd = local_valuations(current, INFINITY)
         if v2 >= 4 and v3 >= 6:
             current = WeierstrassModel(current.g2, current.g3, current.height - 1)
             continue
-        for f, vd in upoly.squarefree(current.int_delta):
+        for f, vd in current.delta_strata:
             if vd >= 12 and (twisted := _twist(current, f)) is not None:
                 current = twisted
                 break
@@ -310,7 +344,12 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
     stratum is refined until the valuations of g2 and g3 are constant on it,
     and each root of a refined stratum contributes one fiber of the common
     type.  The model must already be minimal (use minimalize_everywhere).
+    The result is cached on the model.
     """
+    return model.configuration
+
+
+def _classify(model: WeierstrassModel) -> FiberConfiguration:
     entries = []
     v2, v3, vd = local_valuations(model, INFINITY)
     t_inf = kodaira_from_valuations(v2, v3, vd)
@@ -318,7 +357,7 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
         raise ValueError("model is not minimal at infinity")
     if t_inf.euler_number:
         entries.append(FiberEntry(INFINITY, t_inf, 1))
-    for f, k in upoly.squarefree(model.int_delta):
+    for f, k in model.delta_strata:
         for g, m2 in _mult_partition(f, model.int_g2[1]):
             for h, m3 in _mult_partition(g, model.int_g3[1]):
                 t = kodaira_from_valuations(m2, m3, k)
@@ -346,11 +385,14 @@ def _render_place(coeffs):
 
 
 def is_k3(model: WeierstrassModel) -> bool:
-    """True iff the minimal model has Euler number 24 (with singular fibers)."""
-    minimal = minimalize_everywhere(model)
+    """True iff the minimal model has Euler number 24 (with singular fibers).
+
+    Reads the minimal model and its configuration cached on ``model``.
+    """
+    minimal = model.minimal_model
     if minimal.height != 2:
         return False
-    config = fiber_configuration(minimal)
+    config = minimal.configuration
     return config.total_euler == 24 and bool(config.fibers)
 
 

@@ -9,6 +9,10 @@ Multiplication, powers and exact division run on a private integer kernel:
 each operand is converted once into a scale ``Fraction`` times a map from
 packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
 once, so ``Fraction`` arithmetic appears only at these boundaries.
+
+Evaluation runs on an integer form that each polynomial builds at most once
+(see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
+which is sound because no operation mutates ``terms`` after construction.
 """
 from __future__ import annotations
 
@@ -85,13 +89,19 @@ class VariableTable:
 
 
 class WeightedPolynomial:
-    """A sparse polynomial over Q, graded by the table's variable weights."""
+    """A sparse polynomial over Q, graded by the table's variable weights.
 
-    __slots__ = ("table", "terms")
+    ``terms`` is never mutated once the polynomial is built: every operation
+    returns a new polynomial, and the integer form cached in ``_integral``
+    relies on that.
+    """
+
+    __slots__ = ("table", "terms", "_integral")
 
     def __init__(self, table: VariableTable, terms: dict):
         self.table = table
         self.terms = terms
+        self._integral = None
 
     # -- constructors ------------------------------------------------------
 
@@ -256,30 +266,75 @@ class WeightedPolynomial:
 
     # -- evaluation and substitution ---------------------------------------
 
+    def _integer_form(self):
+        """(den, tops, coeffs, indices), built on first use.
+
+        ``coeffs[k] / den`` is the coefficient of the k-th term of ``terms``,
+        in dict order, with ``coeffs[k]`` an ``int``.  ``tops`` holds the top
+        exponent of each variable.  ``indices[k]`` lists the term's nonzero
+        (variable, exponent) pairs as positions ``offset[variable] +
+        exponent`` in the concatenated power rows that ``_power_rows`` builds
+        for these ``tops``.
+        """
+        form = self._integral
+        if form is None:
+            den = lcm(*[c.denominator for c in self.terms.values()])
+            tops = [0] * len(self.table)
+            for exp in self.terms:
+                tops = [max(t, e) for t, e in zip(tops, exp)]
+            offsets, end = [], 0
+            for top in tops:
+                offsets.append(end)
+                end += top + 1
+            coeffs, indices = [], []
+            for exp, c in self.terms.items():
+                coeffs.append(c.numerator * (den // c.denominator))
+                indices.append([o + e for o, e in zip(offsets, exp) if e])
+            form = self._integral = (den, tops, coeffs, indices)
+        return form
+
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as one rational per variable.
 
-        The coefficients are scaled to integers over their common denominator
-        and integral coordinates are kept as ``int``, so at an integer point
-        only the final division builds a ``Fraction``.
+        Runs on the integer form, built once per polynomial: ``int``
+        coefficients over a common denominator, and one row of powers per
+        coordinate.  At an integer point the sum is all ``int`` and only the
+        final division builds a ``Fraction``.
         """
-        vals = [x if isinstance(x, int) else Fraction(x) for x in point]
-        vals = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in vals]
-        if len(vals) != len(self.table):
+        if len(point) != len(self.table):
             raise ValueError("point length does not match variable table")
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        den, tops, coeffs, indices = self._integer_form()
+        rows = _power_rows(tops, point)
         total = 0
-        power_cache = [{} for _ in vals]
-        for exp, coeff in self.terms.items():
-            prod = coeff.numerator * (den // coeff.denominator)
-            for i, e in enumerate(exp):
-                if e:
-                    cache = power_cache[i]
-                    if e not in cache:
-                        cache[e] = vals[i] ** e
-                    prod *= cache[e]
-            total += prod
+        for c, index in zip(coeffs, indices):
+            for k in index:
+                c *= rows[k]
+            total += c
         return Fraction(total, den)
+
+    def univariate_at(self, var: str, point):
+        """(numerators, den): ``univariate_view(var)`` evaluated at ``point``,
+        each coefficient as ``numerators[k] / den``, in one pass.
+
+        ``point`` holds one rational per variable; the entry for ``var`` is
+        ignored.  The zero polynomial gives ``([], 1)``.
+        """
+        i = self.table.index(var)
+        if len(point) != len(self.table):
+            raise ValueError("point length does not match variable table")
+        den, tops, coeffs, indices = self._integer_form()
+        rows = _power_rows(tops, point, skip=i)
+        out = [0] * (tops[i] + 1) if coeffs else []
+        for c, index, exp in zip(coeffs, indices, self.terms):
+            for k in index:
+                c *= rows[k]
+            out[exp[i]] += c
+        if not all([type(c) is int for c in out]):
+            # a coordinate with a denominator left Fraction entries
+            lam = lcm(*[c.denominator for c in out])
+            out = [c.numerator * (lam // c.denominator) for c in out]
+            den *= lam
+        return out, den
 
     def substitute(self, assignments: dict) -> "WeightedPolynomial":
         """Compose with polynomial assignments for some of the variables.
@@ -402,6 +457,30 @@ class WeightedPolynomial:
                 continue
             return ContentResult(cand, True)
         return ContentResult(one, False)
+
+
+def _power_rows(tops, point, skip=-1):
+    """For each coordinate x the row x^e, e = 0..top, concatenated.
+
+    An integral coordinate gives an ``int`` row, so at an integer point every
+    product is an ``int``; only a coordinate with a denominator gives a
+    ``Fraction`` row.  The row of variable ``skip`` is all ones.
+    """
+    rows = []
+    for i, (x, top) in enumerate(zip(point, tops)):
+        if i == skip:
+            rows += [1] * (top + 1)
+            continue
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        p = 1
+        rows.append(p)
+        for _ in range(top):
+            p *= x
+            rows.append(p)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from k3verify import families, lattice
+from k3verify import cli, families, lattice
 from k3verify.cli import main
 from k3verify.eliminate import PitConfig
 from k3verify.wpoly import NotDivisibleError, WeightedPolynomial
@@ -220,3 +221,47 @@ def test_user_lattice_failing_signature_skips_search(tmp_path, monkeypatch, caps
     assert main(["lattices", "--lattice", str(path), "--bound", "3", "--json"]) == 1
     statuses = _statuses(capsys)
     assert statuses["kneser_check(I7(2))"] == "fail"
+
+
+def test_pit_constant_is_checked(monkeypatch, capsys):
+    # a doubled discriminant passes the residual test but not the constant
+    doubled = (2 * Fraction(2176782336), 100, True, None)
+    monkeypatch.setattr(families, "pit_disc_factorization", lambda _cfg: doubled)
+    assert main(["disc-factor", "--pit", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R) = c * r^3 * d90 (probabilistic)"] == "pass"
+    assert statuses["c = 2176782336"] == "fail"
+    assert main(["all", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc-factor.c = 2176782336"] == "fail"
+    assert [name for name, status in statuses.items() if status == "fail"] == [
+        "disc-factor.c = 2176782336"]
+
+
+@pytest.mark.parametrize("weight", ["-5", "401", "ten"])
+def test_dims_max_weight_out_of_range_exits_two(capsys, weight):
+    for command in ("dims", "all"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--max-weight", weight])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-weight" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_dims_max_weight_zero_is_accepted(capsys):
+    assert main(["dims", "--max-weight", "0", "--json"]) == 0
+    assert all(status == "pass" for status in _statuses(capsys).values())
+
+
+@pytest.mark.parametrize("exc", [KeyError("t99"), TypeError("unsupported operand")],
+                         ids=["key-error", "type-error"])
+def test_any_escaping_exception_exits_three(monkeypatch, capsys, exc):
+    monkeypatch.setattr(cli, "run_dims", _raise(exc))
+    assert main(["dims"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -18,6 +18,7 @@ from k3verify.families import (
     dim_forms_bruteforce,
     genericity_certificate,
     igusa_to_cd,
+    IrreducibilityCertificate,
     irreducibility_certificate,
     is_generic_point,
     pit_disc_factorization,
@@ -207,3 +208,34 @@ def test_random_certified_points():
         assert cert["r"] != 0 and cert["d90"] != 0
     # determinism
     assert random_certified_points(5, seed=1) == points
+
+
+# Outputs pinned before the integer evaluation form: the PIT run of 100
+# trials at seeds 0, 1 and 5, and the certificates at seeds 0..23 as
+# (prime, specialization, trials).
+_PINNED_CERTIFICATES = (
+    (11, (2, -14, -12, 10), 1), (7, (-14, 15, -20, 6), 1),
+    (5, (-17, -11, -4, -5), 1), (7, (7, -13, 9, 20), 1),
+    (7, (-18, 5, 2, 16), 1), (5, (6, 6, -16, -12), 1),
+    (29, (18, -19, -7, -16), 1), (7, (-12, 11, -18, 8), 2),
+    (7, (-12, 11, -18, 8), 1), (19, (-17, 13, -14, 1), 1),
+    (17, (3, 13, 6, -20), 1), (31, (7, -13, 20, -3), 1),
+    (19, (-20, -10, 10, -18), 1), (13, (-3, -18, -20, -8), 1),
+    (13, (-4, 13, 19, 11), 1), (31, (-13, 6, -15, -14), 1),
+    (17, (10, -14, -9, 0), 1), (19, (-15, -8, 15, -20), 1),
+    (31, (10, -20, 6, 20), 1), (23, (-20, 2, -20, -13), 1),
+    (5, (-1, -5, 7, 1), 1), (7, (-3, 17, 5, -1), 1),
+    (13, (-9, -19, 4, 20), 1), (13, (17, 20, 1, 18), 1),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_pit_disc_factorization_pinned(seed):
+    assert pit_disc_factorization(PitConfig(seed=seed)) == (
+        Fraction(2176782336), 100, True, None)
+
+
+def test_irreducibility_certificates_pinned():
+    for seed, (prime, specialization, trials) in enumerate(_PINNED_CERTIFICATES):
+        cert = d90_irreducibility_certificate(PitConfig(trials=64, seed=seed))
+        assert cert == IrreducibilityCertificate(True, prime, specialization, trials)

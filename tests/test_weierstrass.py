@@ -1,7 +1,10 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from k3verify import upoly, weierstrass
 from k3verify.weierstrass import (
     INFINITY,
     NON_MINIMAL,
@@ -19,7 +22,7 @@ from k3verify.weierstrass import (
     squarefree_strata,
 )
 from k3verify.eliminate import PitConfig, sample_point
-from k3verify.families import ParameterPoint, build_s, sample_points
+from k3verify.families import ParameterPoint, build_s, random_certified_points, sample_points
 
 
 def _points():
@@ -266,3 +269,98 @@ def test_model_json_roundtrip():
     assert again.g2 == model.g2
     assert again.g3 == model.g3
     assert again.height == model.height
+
+
+def test_model_json_format_is_rendered_x0_text():
+    model = build_s(ParameterPoint(Fraction(1, 2), 3, Fraction(-1, 3), 2, 5))
+    text = model_to_json(model)
+    assert text == ('{"g2": "1/2*x0^4 - 1/3*x0^3", '
+                    '"g3": "x0^7 + 3*x0^6 + 2*x0^5 + 5*x0^4"}')
+    assert set(json.loads(text)) == {"g2", "g3"}
+    assert model_from_json(text) == model
+
+
+def _seeded_models(seed):
+    """Family points, random rational models within the height-2 bounds, and
+    non-minimal models f^4 * a, f^6 * b along a rational linear f."""
+    rng = random.Random(seed)
+    models = [build_s(p) for p in random_certified_points(3, seed=seed)]
+    models += [build_s(p) for p in random_certified_points(2, seed=seed, t18_zero=True)]
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(4):
+        g2 = [rational() for _ in range(rng.randint(1, 9))]
+        g3 = [rational() for _ in range(rng.randint(1, 13))]
+        if any(g2) or any(g3):
+            models.append(WeierstrassModel(tuple(g2), tuple(g3), 2))
+    for _ in range(4):
+        f = (rational(), Fraction(rng.randint(1, 3)))
+        a = tuple([rational() for _ in range(rng.randint(1, 5))])
+        b = tuple([rational() for _ in range(rng.randint(1, 7))])
+        g2 = upoly.mul(upoly.power(f, 4), a) if any(a) else ()
+        g3 = upoly.mul(upoly.power(f, 6), b) if any(b) else (1,)
+        models.append(WeierstrassModel(g2, g3, 2))
+    # non-minimal at infinity as well
+    models.append(WeierstrassModel((0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1), 2))
+    return models
+
+
+def _classification(model, order):
+    """Minimal model, configuration (or the error type) and is_k3 of model,
+    asked for in the given order."""
+    out = {}
+    for step in order:
+        if step == "minimal":
+            m = minimalize_everywhere(model)
+            out[step] = (m.g2, m.g3, m.height)
+        elif step == "config":
+            try:
+                config = fiber_configuration(model)
+                out[step] = (config.fibers, config.total_euler)
+            except ValueError as exc:
+                out[step] = type(exc)
+        else:
+            out[step] = is_k3(model)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cached_classification_matches_a_fresh_model(seed):
+    for model in _seeded_models(seed):
+        first = _classification(model, ("minimal", "config", "k3"))
+        again = _classification(model, ("k3", "config", "minimal"))
+        fresh = WeierstrassModel(model.g2, model.g3, model.height)
+        assert again == first
+        assert _classification(fresh, ("k3", "config", "minimal")) == first
+        minimal = minimalize_everywhere(model)
+        assert minimalize_everywhere(model) is minimal
+        assert minimalize_everywhere(minimal) is minimal
+        if first["config"] is ValueError:
+            # not minimal: raises on every call, nothing cached
+            assert minimal is not model
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    fiber_configuration(model)
+        else:
+            assert minimal is model
+            assert fiber_configuration(model) is fiber_configuration(model)
+
+
+def test_classify_then_is_k3_runs_one_squarefree(monkeypatch):
+    calls = []
+    squarefree = upoly.squarefree
+
+    def counting(a):
+        calls.append(a)
+        return squarefree(a)
+
+    monkeypatch.setattr(upoly, "squarefree", counting)
+    model = build_s(_points()["generic"])
+    minimal = minimalize_everywhere(model)
+    config = fiber_configuration(minimal)
+    assert is_k3(model)
+    assert config.summary() == "II* + IV* + 6 I1"
+    assert len(calls) == 1
+    assert weierstrass.minimalize_everywhere(model) is model

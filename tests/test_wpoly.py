@@ -278,6 +278,52 @@ def test_kernel_exact_div_property():
     check()
 
 
+def _reference_value(p, point):
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        for x, e in zip(point, exp):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+def test_integer_form_evaluate_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = _poly_strategy(st)
+    integer = st.integers(-30, 30)
+    rational = st.fractions(min_value=-8, max_value=8, max_denominator=7)
+    points = st.one_of(st.tuples(integer, integer, integer),
+                       st.tuples(rational, integer, rational))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys, points, points)
+    def check(p, first, second):
+        # the second call reuses the integer form built by the first
+        for point in (first, second):
+            value = p.evaluate(point)
+            assert isinstance(value, Fraction)
+            assert value == _reference_value(p, point)
+        for var in p.table.names:
+            view = p.univariate_view(var)
+            for point in (first, second):
+                numerators, den = p.univariate_at(var, point)
+                assert all(type(c) is int for c in numerators)
+                assert [Fraction(c, den) for c in numerators] == [
+                    c.evaluate(point) for c in view]
+
+    check()
+
+
+def test_evaluate_checks_the_point_length():
+    p = parse("t4*t6 + 7", T)
+    with pytest.raises(ValueError):
+        p.evaluate((1, 2))
+    with pytest.raises(ValueError):
+        p.univariate_at("t4", (1, 2))
+    assert WeightedPolynomial.zero(T).univariate_at("t4", (1,) * 5) == ([], 1)
+
+
 def test_univariate_view():
     table = VariableTable(("t4", "x0"), (4, 1))
     p = parse("x0*t4", table)
