@@ -6,7 +6,8 @@ means no check failed, 1 means at least one failure, 2 means a usage error
 (a bad flag, or a ``ValueError`` or ``OSError`` from user input), 3 means an
 internal error (any other exception escaped a suite; nothing was verified or
 refuted).
-``all`` runs the suites one after another in manifest order.
+``all`` runs the suites one after another in manifest order; its
+``disc-factor`` is the symbolic one, which checks the constant c exactly.
 """
 from __future__ import annotations
 
@@ -411,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help=argparse.SUPPRESS)
     p.add_argument("--max-weight", type=_int_from_zero(_MAX_WEIGHT_LIMIT), default=60,
                    help=argparse.SUPPRESS)
-    p.set_defaults(runner=run_all, lattice=None, t=None, pit=True)
+    p.set_defaults(runner=run_all, lattice=None, t=None, pit=False)
 
     return parser
 

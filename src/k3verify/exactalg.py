@@ -1,14 +1,15 @@
 """Exact integer and rational linear algebra kernels.
 
 ``ExactMatrix`` holds ``fractions.Fraction`` entries; no floating point enters
-any code path.  The Smith normal form and the Bareiss determinant convert
-their integral input to ``int`` rows once and run in integer arithmetic only.
+any code path.  The Smith normal form, the Bareiss determinant and the inertia
+convert their input to ``int`` rows once and run in integer arithmetic only.
 Matrices are immutable values and every kernel returns fresh matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -253,61 +254,48 @@ def integer_kernel(m: ExactMatrix):
 def inertia(m: ExactMatrix):
     """Signature counts ``(n_pos, n_neg, n_zero)`` of a symmetric matrix.
 
-    Exact rational symmetric Gaussian reduction; when every diagonal entry of
-    the active block vanishes, a symmetric shear manufactures a nonzero pivot
-    (the hyperbolic-plane case, e.g. Gram(U)).
+    Symmetric Gaussian reduction in ``int``, made fraction-free by Bareiss'
+    division by the previous pivot: the active block is always (last pivot)
+    times the true Schur complement, so each true pivot has the sign of
+    pivot * previous pivot.  When every diagonal entry of the active block
+    vanishes, a symmetric shear manufactures a nonzero pivot (the
+    hyperbolic-plane case, e.g. Gram(U)).  Rational input is first scaled by
+    the lcm of its denominators, which leaves the inertia unchanged.
     """
     if not m.is_symmetric():
         raise ValueError("matrix is not symmetric")
     n = m.rows
-    a = [list(row) for row in m.entries]
-    pos = neg = zero = 0
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_shear(i, j):
-        # row_i += row_j followed by col_i += col_j
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += row[j]
-
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off is not None:
-                    break
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                       None)
             if off is None:
-                zero += n - k
-                break
-            sym_shear(off[0], off[1])
-            piv = off[0]
-        sym_swap(k, piv)
-        p = a[k][k]
-        if p > 0:
+                return pos, neg, n - k
+            # row_i += row_j followed by col_i += col_j
+            piv, j = off
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for row in a[k:]:
+                row[piv] += row[j]
+        a[k], a[piv] = a[piv], a[k]
+        for row in a[k:]:
+            row[k], row[piv] = row[piv], row[k]
+        p, pk = a[k][k], a[k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-            # keep symmetry of the trailing block explicit
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-        k += 1
-    return pos, neg, zero
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (p * ai[j] - f * pk[j]) // prev
+        prev = p
+    return pos, neg, 0
 
 
 def det_fraction_free(m: ExactMatrix) -> int:

@@ -17,11 +17,11 @@ from math import gcd, lcm
 
 from . import upoly
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
+from .upoly import factor_mod_p
 from .weierstrass import WeierstrassModel
 from .wpoly import (
     VariableTable,
     WeightedPolynomial,
-    factor_mod_p,
     parse,
     render,
 )

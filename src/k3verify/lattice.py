@@ -2,9 +2,9 @@
 
 A lattice is stored as its Gram matrix on a fixed basis.  Gram forms are
 evaluated in ``int``: rational vectors are scaled to integral ones first and
-the denominator is divided out once.  All invariants are exact; the only
-floating point in the module is the optional numeric path of
-:func:`is_period_point`.
+the denominator is divided out once.  All invariants are exact and no
+floating point enters the module: even :func:`is_period_point` takes its
+complex coordinates as pairs of rationals.
 """
 from __future__ import annotations
 
@@ -544,43 +544,25 @@ def same_genus_invariants(lat1: GramLattice, lat2: GramLattice, bound: int = 10_
     )
 
 
-def is_period_point(lat: GramLattice, xi, tol: float = 1e-9) -> bool:
+def is_period_point(lat: GramLattice, xi) -> bool:
     """Riemann-Hodge membership test: (xi, xi) = 0 and (xi, conj xi) > 0.
 
-    Coordinates may be Python complex numbers (tolerance-based test) or pairs
-    ``(re, im)`` of exact rationals (exact test, tol ignored).
+    Each coordinate is a pair ``(re, im)`` of exact rationals.
     """
     coords = list(xi)
     if len(coords) != lat.rank:
         raise ValueError("coordinate length does not match rank")
-    exact = all(isinstance(c, tuple) for c in coords)
-    if exact:
-        re = [Fraction(c[0]) for c in coords]
-        im = [Fraction(c[1]) for c in coords]
-        if all(x == 0 for x in re) and all(x == 0 for x in im):
-            raise ZeroVectorError("xi must be nonzero")
-        # (xi, xi) = (re, re) - (im, im) + 2i (re, im); (xi, conj xi) real part
-        rr = lat.inner(re, re)
-        ii = lat.inner(im, im)
-        ri = lat.inner(re, im)
-        return rr - ii == 0 and ri == 0 and rr + ii > 0
-    values = [complex(c) for c in coords]
-    if all(abs(v) == 0 for v in values):
+    if not all(isinstance(c, tuple) and len(c) == 2 for c in coords):
+        raise ValueError("each coordinate must be a pair (re, im)")
+    re = [Fraction(c[0]) for c in coords]
+    im = [Fraction(c[1]) for c in coords]
+    if all(x == 0 for x in re) and all(x == 0 for x in im):
         raise ZeroVectorError("xi must be nonzero")
-    rows = lat.int_rows
-    gram_norm = max(abs(x) for row in rows for x in row)
-    scale = sum(abs(v) ** 2 for v in values) * max(gram_norm, 1)
-    s1 = sum(
-        values[i] * rows[i][j] * values[j]
-        for i in range(lat.rank)
-        for j in range(lat.rank)
-    )
-    s2 = sum(
-        values[i] * rows[i][j] * values[j].conjugate()
-        for i in range(lat.rank)
-        for j in range(lat.rank)
-    )
-    return abs(s1) <= tol * scale and s2.real > tol * scale
+    # (xi, xi) = (re, re) - (im, im) + 2i (re, im); (xi, conj xi) = (re, re) + (im, im)
+    rr = lat.inner(re, re)
+    ii = lat.inner(im, im)
+    ri = lat.inner(re, im)
+    return rr - ii == 0 and ri == 0 and rr + ii > 0
 
 
 # -- the lattices of the verification suite -----------------------------------

@@ -13,10 +13,11 @@ once, so ``Fraction`` arithmetic appears only at these boundaries.
 Evaluation runs on an integer form that each polynomial builds at most once
 (see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
 which is sound because no operation mutates ``terms`` after construction.
+
+Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 """
 from __future__ import annotations
 
-import random as _random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,10 @@ from functools import reduce
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import lshift, or_
+
+# Re-exported, not used here: benchmarks/tracing.py looks factor_mod_p up in
+# this module by name to time it.
+from .upoly import factor_mod_p  # noqa: F401
 
 NEG_INFINITY = float("-inf")
 
@@ -48,14 +53,6 @@ class NotDivisibleError(ArithmeticError):
     def __init__(self, remainder: "WeightedPolynomial"):
         super().__init__("polynomial division is not exact")
         self.remainder = remainder
-
-
-class CompositeModulusError(ValueError):
-    pass
-
-
-class LeadingCoefficientVanishesError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -771,227 +768,3 @@ def render(p: WeightedPolynomial) -> str:
         else:
             pieces.append((" + " if coeff > 0 else " - ") + body)
     return "".join(pieces)
-
-
-# -- univariate factorization over a prime field ----------------------------
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _fp_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return tuple(f)
-
-
-def _fp_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-    return _fp_trim(q), _fp_trim(f)
-
-
-def _fp_mod(f, g, p):
-    return _fp_divmod(f, g, p)[1]
-
-
-def _fp_gcd(f, g, p):
-    while g:
-        f, g = g, _fp_mod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = tuple(c * inv % p for c in f)
-    return f
-
-def _fp_monic(f, p):
-    if not f:
-        return f
-    inv = pow(f[-1], p - 2, p)
-    return tuple(c * inv % p for c in f)
-
-
-def _fp_powmod(base, e, mod, p):
-    result = (1,)
-    base = _fp_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), mod, p)
-        base = _fp_mod(_fp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _fp_derivative(f, p):
-    return _fp_trim([(i * c) % p for i, c in enumerate(f)][1:])
-
-
-def _fp_squarefree(f, p):
-    """Squarefree decomposition in characteristic p: [(g_i, multiplicity)]."""
-    out = []
-    fp = _fp_derivative(f, p)
-    if not fp:
-        # f = h(x^p) = (h*)(x)^p with h* the coefficientwise p-th root
-        root = _fp_trim([f[i] for i in range(0, len(f), p)])
-        for g, m in _fp_squarefree(root, p):
-            out.append((g, m * p))
-        return out
-    w = _fp_gcd(f, fp, p)
-    v = _fp_divmod(_fp_monic(f, p), w, p)[0]  # product of distinct factors
-    m = 1
-    while len(v) > 1:
-        g = _fp_gcd(v, w, p)
-        piece = _fp_divmod(v, g, p)[0]
-        if len(piece) > 1:
-            out.append((piece, m))
-        v = g
-        w = _fp_divmod(w, g, p)[0]
-        m += 1
-    if len(w) > 1:
-        # leftover p-th power part
-        root = _fp_trim([w[i] for i in range(0, len(w), p)])
-        for g, k in _fp_squarefree(root, p):
-            out.append((g, k * p))
-    return out
-
-
-def _fp_sub(f, g, p):
-    n = max(len(f), len(g))
-    fx = list(f) + [0] * (n - len(f))
-    gx = list(g) + [0] * (n - len(g))
-    return _fp_trim([(a - b) % p for a, b in zip(fx, gx)])
-
-
-def _fp_distinct_degree(f, p):
-    """Distinct-degree splitting of a monic squarefree f: [(product, d)]."""
-    out = []
-    x = (0, 1)
-    h = x
-    d = 0
-    rest = f
-    while len(rest) - 1 > 2 * d:
-        d += 1
-        h = _fp_powmod(h, p, rest, p)
-        g = _fp_gcd(rest, _fp_sub(h, x, p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            rest = _fp_divmod(rest, g, p)[0]
-            if len(rest) == 1:
-                break
-            h = _fp_mod(h, rest, p)
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
-    return out
-
-
-def _fp_equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        h = tuple(rng.randrange(p) for _ in range(n)) + (1,)
-        if p == 2:
-            # trace map splitting
-            t = h
-            acc = h
-            for _ in range(d - 1):
-                t = _fp_mod(_fp_mul(t, t, p), f, p)
-                acc = _fp_trim([(a + b) % p for a, b in
-                                zip(list(acc) + [0] * max(0, len(t) - len(acc)),
-                                    list(t) + [0] * max(0, len(acc) - len(t)))])
-            g = _fp_gcd(f, acc, p)
-        else:
-            e = (p ** d - 1) // 2
-            w = _fp_powmod(h, e, f, p)
-            wm1 = list(w) if w else [0]
-            wm1[0] = (wm1[0] - 1) % p
-            g = _fp_gcd(f, _fp_trim(wm1), p)
-        if 0 < len(g) - 1 < n:
-            rest = _fp_divmod(f, g, p)[0]
-            return _fp_equal_degree(g, d, p, rng) + _fp_equal_degree(rest, d, p, rng)
-
-
-@dataclass(frozen=True)
-class FactorizationModP:
-    """unit * prod(factor^multiplicity) == input mod p, factors monic irreducible."""
-
-    modulus: int
-    unit: int
-    factors: tuple  # ((coeff tuple low..high, multiplicity), ...)
-
-
-def factor_mod_p(coefficients, p: int) -> FactorizationModP:
-    """Factor a univariate integer polynomial over the field with p elements.
-
-    ``coefficients`` are listed from the constant term up.  Squarefree
-    decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
-    equal-degree splitting.
-    """
-    if not _is_prime(p):
-        raise CompositeModulusError(f"{p} is not prime")
-    coeffs = [int(c) for c in coefficients]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs or coeffs[-1] % p == 0:
-        raise LeadingCoefficientVanishesError("leading coefficient vanishes mod p")
-    f = _fp_trim([c % p for c in coeffs])
-    unit = f[-1]
-    f = _fp_monic(f, p)
-    if len(f) == 1:
-        return FactorizationModP(p, unit, ())
-    rng = _random.Random(0xD15EA5E ^ p ^ len(f))
-    factors = []
-    for g, mult in _fp_squarefree(f, p):
-        g = _fp_monic(g, p)
-        for part, d in _fp_distinct_degree(g, p):
-            for irr in _fp_equal_degree(part, d, p, rng):
-                factors.append((irr, mult))
-    factors.sort()
-    return FactorizationModP(p, unit, tuple(factors))

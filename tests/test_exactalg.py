@@ -127,6 +127,24 @@ def test_inertia_congruence_invariance():
         assert inertia(pm.transpose() @ m @ pm) == inertia(m)
 
 
+
+def test_inertia_of_congruent_diagonal():
+    # Sylvester's law of inertia: P^T D P has the signs of D for every
+    # invertible integer P; zero entries of D make it singular, and a
+    # positive rational scale makes the input non-integral
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        d = [rng.choice([-3, -2, -1, 0, 1, 2, 5]) for _ in range(n)]
+        p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        while det_fraction_free(ExactMatrix.from_rows(p)) == 0:
+            p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        pm = ExactMatrix.from_rows(p)
+        m = pm.transpose() @ ExactMatrix.diagonal(d) @ pm
+        expected = (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+        assert inertia(m) == expected
+        assert inertia(m.scale(Fraction(rng.randint(1, 9), rng.randint(2, 9)))) == expected
+
 def _det_minors(m):
     n = m.rows
     if n == 1:

@@ -244,13 +244,18 @@ def test_same_genus():
 
 def test_is_period_point():
     a = a_lattice()
-    assert is_period_point(a, [1, 1, 1j, 1j, 0, 0])
-    assert not is_period_point(a, [1, 0, 0, 0, 0, 0])
-    assert not is_period_point(a, [1, 1, 1, -1, 0, 0])
-    # exact Gaussian-rational path
+    half = Fraction(1, 2)
     assert is_period_point(a, [(1, 0), (1, 0), (0, 1), (0, 1), (0, 0), (0, 0)])
+    assert is_period_point(a, [(half, 0), (half, 0), (0, half), (0, half), (0, 0), (0, 0)])
+    assert not is_period_point(a, [(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)])
+    assert not is_period_point(a, [(1, 0), (1, 0), (1, 0), (-1, 0), (0, 0), (0, 0)])
     with pytest.raises(ZeroVectorError):
-        is_period_point(a, [0, 0, 0, 0, 0, 0])
+        is_period_point(a, [(0, 0)] * 6)
+    # complex numbers and plain integers are not (re, im) pairs
+    with pytest.raises(ValueError):
+        is_period_point(a, [1, 1, 1j, 1j, 0, 0])
+    with pytest.raises(ValueError):
+        is_period_point(a, [1, 0, 0, 0, 0, 0])
 
 
 def test_json_roundtrip():

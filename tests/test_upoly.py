@@ -79,3 +79,40 @@ def test_primitive_gcd_and_squarefree():
     assert upoly.squarefree(poly) == [(f, 1), (g, 2), (h, 3)]
     assert upoly.squarefree((7,)) == []
     assert upoly.prem((1, 0, 1), (1, 2)) == (5,)  # 4 (x^2 + 1) mod (2x + 1)
+
+
+
+def _of_x_to_the(h, q):
+    """h(x^q)."""
+    out = [0] * ((len(h) - 1) * q + 1)
+    out[::q] = h
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "p, g, k, h, q",
+    [
+        # the derivative vanishes: f = h(x^p) is the p-th power of h
+        (2, (1,), 0, (1, 1, 1), 2),
+        (3, (1,), 0, (2, 1, 1), 3),
+        (2, (1, 1, 0, 1), 2, (1, 1, 1), 2),
+        # the squarefree loop runs first, then the leftover of multiplicity
+        # divisible by p goes through the p-th root (twice for h(x^4))
+        (3, (1, 0, 1), 2, (2, 1, 1), 3),
+        (2, (1, 1, 0, 1), 3, (1, 1, 1), 2),
+        (2, (1, 1, 0, 1), 1, (1, 1, 1), 4),
+    ],
+)
+def test_factor_mod_p_characteristic_p_powers(p, g, k, h, q):
+    # g and h are monic irreducible mod p, so g^k h(x^q) = g^k h^q
+    f = upoly.mul(upoly.power(g, k), _of_x_to_the(h, q))
+    expected = sorted([(g, k), (h, q)] if k else [(h, q)])
+    assert upoly.factor_mod_p(f, p) == upoly.FactorizationModP(p, 1, tuple(expected))
+
+
+def test_factor_mod_p_trace_split_over_f2():
+    # two irreducible cubics: distinct-degree splitting leaves their product
+    # whole, and p = 2 splits it by the trace map
+    g, h = (1, 1, 0, 1), (1, 0, 1, 1)
+    result = upoly.factor_mod_p(upoly.mul(g, h), 2)
+    assert result == upoly.FactorizationModP(2, 1, ((h, 1), (g, 1)))

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3verify.wpoly import (
-    _EXPONENT_LIMIT,
+from k3verify.upoly import (
     CompositeModulusError,
     LeadingCoefficientVanishesError,
+    factor_mod_p,
+)
+from k3verify.wpoly import (
+    _EXPONENT_LIMIT,
     NEG_INFINITY,
     NotDivisibleError,
     PolynomialSyntaxError,
@@ -14,7 +17,6 @@ from k3verify.wpoly import (
     UnknownVariableError,
     VariableTable,
     WeightedPolynomial,
-    factor_mod_p,
     parse,
     render,
 )
