@@ -339,15 +339,22 @@ def run_all(args) -> CheckReport:
 _MAX_WEIGHT_LIMIT = 400
 
 
-def _int_from_zero(high=None):
-    """An argparse type for the integers from 0 to ``high`` (None: no limit)."""
+# A PIT trial of disc-factor --pit takes about 0.4 ms with Python 3.11, so the
+# largest budget runs for under a minute.
+_MAX_TRIALS = 100_000
+
+
+def _int_in_range(low, high=None):
+    """An argparse type for the integers from ``low`` to ``high`` (None: no
+    upper limit)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = -1
-        if value < 0 or (high is not None and value > high):
-            wanted = "a nonnegative integer" if high is None else f"an integer from 0 to {high}"
+            value = low - 1
+        if value < low or (high is not None and value > high):
+            wanted = (f"an integer from {low} to {high}" if high is not None
+                      else f"an integer of at least {low}")
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
     return parse
@@ -362,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument("--seed", type=int, default=0, help="PIT seed (default 0)")
-    common.add_argument("--trials", type=int, default=100,
-                        help="randomized trial budget (default 100)")
-    common.add_argument("--bound", type=_int_from_zero(), default=2,
+    common.add_argument("--trials", type=_int_in_range(1, _MAX_TRIALS), default=100,
+                        help=f"randomized trial budget, 1 to {_MAX_TRIALS} (default 100)")
+    common.add_argument("--bound", type=_int_in_range(0), default=2,
                         help="box bound for the norm -2 search (default 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,14 +410,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", parents=[common],
                        help="modular-form dimension table")
-    p.add_argument("--max-weight", type=_int_from_zero(_MAX_WEIGHT_LIMIT), default=60,
+    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=60,
                    help=f"top weight of the table, 0 to {_MAX_WEIGHT_LIMIT} (default 60)")
     p.set_defaults(runner=run_dims)
 
     p = sub.add_parser("all", parents=[common], help="run every suite")
     p.add_argument("--lattice", metavar="FILE", help=argparse.SUPPRESS)
     p.add_argument("--t", help=argparse.SUPPRESS)
-    p.add_argument("--max-weight", type=_int_from_zero(_MAX_WEIGHT_LIMIT), default=60,
+    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=60,
                    help=argparse.SUPPRESS)
     p.set_defaults(runner=run_all, lattice=None, t=None, pit=False)
 

@@ -262,11 +262,13 @@ def inertia(m: ExactMatrix):
     hyperbolic-plane case, e.g. Gram(U)).  Rational input is first scaled by
     the lcm of its denominators, which leaves the inertia unchanged.
     """
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    n = m.rows
     scale = lcm(*(x.denominator for row in m.entries for x in row))
     a = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    n = len(a)
+    if any(len(row) != n for row in a) or any(
+        a[i][j] != a[j][i] for i in range(n) for j in range(i)
+    ):
+        raise ValueError("matrix is not symmetric")
     pos = neg = 0
     prev = 1
     for k in range(n):
@@ -298,12 +300,11 @@ def inertia(m: ExactMatrix):
     return pos, neg, 0
 
 
-def det_fraction_free(m: ExactMatrix) -> int:
-    """Exact determinant of an integral matrix by Bareiss elimination."""
-    if not m.is_square():
-        raise ValueError("matrix is not square")
-    a = m.to_int_rows()
-    n = m.rows
+def bareiss_det(rows) -> int:
+    """Exact determinant of a square integer matrix, given as a sequence of
+    ``int`` rows, by Bareiss' fraction-free elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
     if n == 0:
         return 1
     sign = 1
@@ -320,3 +321,10 @@ def det_fraction_free(m: ExactMatrix) -> int:
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def det_fraction_free(m: ExactMatrix) -> int:
+    """Exact determinant of an integral matrix by Bareiss elimination."""
+    if not m.is_square():
+        raise ValueError("matrix is not square")
+    return bareiss_det(m.to_int_rows())

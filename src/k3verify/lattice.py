@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 
 from .exactalg import (
     ExactMatrix,
+    bareiss_det,
     det_fraction_free,
     inertia,
     integer_kernel,
@@ -66,7 +67,14 @@ def _integral(v):
 
 @dataclass(frozen=True)
 class GramLattice:
-    """Even integral lattice given by a symmetric Gram matrix."""
+    """Even integral lattice given by a symmetric Gram matrix.
+
+    ``int_rows`` is the Gram matrix as a tuple of ``int`` tuples, converted
+    once.  ``norm`` of an ``int`` vector of the right length evaluates the
+    cached quadratic form :attr:`_form` in one pass; every other input
+    (rational or ``bool`` entries, a wrong length, an empty vector) goes
+    through ``inner``.
+    """
 
     gram: ExactMatrix
     label: str = ""
@@ -101,7 +109,29 @@ class GramLattice:
         value = sum(map(mul, u, _mat_vec(self.int_rows, v)))
         return value if du == dv == 1 else Fraction(value, du * dv)
 
+    @cached_property
+    def _form(self):
+        """``v . G . v`` as ``(coeffs, left, right, rank)``: the nonzero
+        upper-triangle entries of ``int_rows``, off-diagonal ones doubled, and
+        one ``itemgetter`` each for their row and column coordinates.
+
+        The form is padded with zero terms to two, because an ``itemgetter``
+        of a single index returns a scalar rather than a tuple.
+        """
+        terms = [
+            (x if i == j else 2 * x, i, j)
+            for i, row in enumerate(self.int_rows)
+            for j, x in enumerate(row[i:], i)
+            if x
+        ]
+        terms += [(0, 0, 0)] * (2 - len(terms))
+        coeffs, left, right = zip(*terms)
+        return coeffs, itemgetter(*left), itemgetter(*right), len(self.int_rows)
+
     def norm(self, v):
+        coeffs, left, right, rank = self._form
+        if len(v) == rank and {*map(type, v)} == {int}:
+            return sum(map(mul, coeffs, map(mul, left(v), right(v))))
         return self.inner(v, v)
 
     @cached_property
@@ -415,12 +445,28 @@ class KneserReport:
         return "inconclusive"
 
 
+# Largest number of nonzero points the norm -2 box search may visit.  At
+# rank 8 and bound 2 that is 390,624 points, under a second with Python 3.11.
+_BOX_POINT_BUDGET = 500_000
+
+
+def _box_points(rank: int, bound: int) -> int:
+    """Nonzero points of the box [-bound, bound]^rank."""
+    return (2 * bound + 1) ** rank - 1
+
+
 def _minus_two_search(lat: GramLattice, bound: int):
-    """A vector of norm -2: basis vectors first, then a bounded box."""
+    """A vector of norm -2: basis vectors first, then a bounded box.
+
+    The box is skipped (the result is None) when it holds more than
+    ``_BOX_POINT_BUDGET`` nonzero points.
+    """
     n = lat.rank
     for i in range(n):
         if lat.gram[i, i] == -2:
             return tuple(1 if j == i else 0 for j in range(n))
+    if _box_points(n, bound) > _BOX_POINT_BUDGET:
+        return None
     for coords in product(range(-bound, bound + 1), repeat=n):
         if any(coords) and lat.norm(coords) == -2:
             return coords
@@ -432,7 +478,11 @@ def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
 
     A failed signature condition fixes the verdict at "fail", so the norm -2
     box search is skipped then: ``minus_two_vector`` is "inconclusive" and
-    ``details["search_skipped"]`` is "signature".
+    ``details["search_skipped"]`` is "signature".  A box of more than
+    ``_BOX_POINT_BUDGET`` nonzero points is not searched either, once no basis
+    vector has norm -2: ``minus_two_vector`` is "inconclusive",
+    ``details["search_skipped"]`` is "budget" and ``details["box_points"]``
+    the size of the box.
     """
     s_pos, s_neg = signature(lat)
     sig_ok = "pass" if min(s_pos, s_neg) >= 2 else "fail"
@@ -447,6 +497,10 @@ def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
     witness = None
     if sig_ok == "pass":
         witness = _minus_two_search(lat, search_bound)
+        box_points = _box_points(lat.rank, search_bound)
+        if witness is None and box_points > _BOX_POINT_BUDGET:
+            details["search_skipped"] = "budget"
+            details["box_points"] = box_points
     else:
         details["search_skipped"] = "signature"
     return KneserReport(
@@ -487,7 +541,7 @@ def reflection(lat: GramLattice, delta) -> Isometry:
         all((x - y) % d == 0 for x, y in zip(_mat_vec(rows, w), w))
         for d, w in lat.dual_generators
     )
-    return Isometry(matrix=m, det=det_fraction_free(m), fixes_discriminant_group=fixes)
+    return Isometry(matrix=m, det=bareiss_det(rows), fixes_discriminant_group=fixes)
 
 
 def _mat_mul(a, b):

@@ -119,6 +119,29 @@ def test_lattices_negative_bound_exits_two(capsys):
     assert "--bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3", "100001", "ten"])
+@pytest.mark.parametrize("command,runner", [("disc-factor", "run_disc_factor"),
+                                            ("irreducible", "run_irreducible"),
+                                            ("all", "run_all")])
+def test_trials_out_of_range_exits_two(monkeypatch, capsys, trials, command, runner):
+    ran = []
+    monkeypatch.setattr(cli, runner, lambda args: ran.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert "--trials" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_trials_range_ends_are_accepted():
+    parser = cli._build_parser()
+    for trials in (1, 100_000):
+        assert parser.parse_args(["disc-factor", "--trials", str(trials)]).trials == trials
+
+
 def _statuses(capsys):
     report = json.loads(capsys.readouterr().out)
     return {c["name"]: c["status"] for c in report["checks"]}

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from k3verify.exactalg import (
+    bareiss_det,
     ExactMatrix,
     det_fraction_free,
     inertia,
@@ -177,6 +178,29 @@ def test_det_matches_permanent_expansion():
             [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         )
         assert det_fraction_free(m) == _det_minors(m)
+
+
+def test_bareiss_det_on_int_rows():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        rows = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
+        assert bareiss_det(rows) == det_fraction_free(ExactMatrix.from_rows(rows))
+        assert bareiss_det(rows) == bareiss_det([list(r) for r in rows])
+    rows = ((0, 1), (1, 0))
+    assert bareiss_det(rows) == -1
+    assert rows == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 0]],
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)], [0, 0]],
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 3), 1]],
+    [[1, 2, 3]],
+], ids=["int", "non-square", "rational", "one-row"])
+def test_inertia_rejects_non_symmetric(rows):
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia(ExactMatrix.from_rows(rows))
 
 
 def test_matrix_errors():

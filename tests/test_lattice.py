@@ -265,11 +265,13 @@ def test_json_roundtrip():
     assert again.label == "A"
 
 
-def _gram_strategy(st):
-    """Even symmetric integer Gram matrices of rank 1 to 6."""
+def _gram_strategy(st, max_rank=6, entry=None):
+    """Even symmetric integer Gram matrices of rank 1 to ``max_rank``, halved
+    diagonal and off-diagonal entries drawn from ``entry`` (default -6..6)."""
+    entry = st.integers(-6, 6) if entry is None else entry
 
     def build(n):
-        entries = st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n)
+        entries = st.lists(entry, min_size=n * n, max_size=n * n)
 
         def gram(values):
             rows = [[values[i * n + j] if i <= j else values[j * n + i] for j in range(n)]
@@ -280,7 +282,7 @@ def _gram_strategy(st):
 
         return entries.map(gram)
 
-    return st.integers(1, 6).flatmap(build)
+    return st.integers(1, max_rank).flatmap(build)
 
 
 def test_inner_matches_fraction_reference_property():
@@ -303,6 +305,127 @@ def test_inner_matches_fraction_reference_property():
             assert type(value) is int
 
     check()
+
+
+def test_norm_matches_inner_and_fraction_reference_property():
+    # the cached quadratic form against inner() and a Fraction v.G.v, on
+    # sparse and dense Gram matrices of rank 1 to 8
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_gram_strategy(st, max_rank=8, entry=entry), st.data())
+    def check(lat, data):
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=lat.rank, max_size=lat.rank))
+        expected = sum(lat.gram[i, j] * v[i] * v[j]
+                       for i in range(lat.rank) for j in range(lat.rank))
+        value = lat.norm(tuple(v))
+        assert value == lat.inner(v, v) == expected
+        assert type(value) is int
+
+    check()
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[-2]], [[0] * 3] * 3, [[0, 1], [1, 0]]],
+                         ids=["zero-rank-1", "rank-1", "zero-rank-3", "one-off-diagonal"])
+def test_norm_of_forms_with_fewer_than_two_terms(rows):
+    # an itemgetter of one index returns a scalar; the form pads itself
+    lat = GramLattice(ExactMatrix.from_rows(rows))
+    for v in product(range(-2, 3), repeat=lat.rank):
+        value = lat.norm(v)
+        assert type(value) is int
+        assert value == lat.inner(v, v)
+
+
+def test_norm_fallback_paths():
+    a = a_lattice()
+    half = (Fraction(1, 2), 0, 0, 1, Fraction(-1, 3), 2)
+    assert a.norm(half) == a.inner(half, half)
+    assert type(a.norm(half)) is Fraction
+    flags = (True, False, True, True, False, True)
+    assert a.norm(flags) == a.inner(flags, flags) == a.norm(tuple(map(int, flags)))
+    assert type(a.norm(flags)) is int
+    for wrong in ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0), ()):
+        with pytest.raises(ValueError):
+            a.norm(wrong)
+    empty = GramLattice(ExactMatrix.from_rows([]))
+    assert empty.norm(()) == 0
+
+
+# kneser_check on the catalog lattices, as the Fraction-era code reported them
+_KNESER_PINS = {
+    "A": ("pass", (0, 0, 0, 0, 1, 0), (2, 4), 6, 5),
+    "A_S": ("fail", (0, 0, 0, 0, 1), (2, 3), 4, 5),
+    "A_MSY": ("fail", (0, 0, 0, 0, 1, 0), (2, 4), 0, 6),
+    "A_CMS": ("fail", (0, 0, 0, 0, 1, 0), (2, 4), 4, 6),
+    "A(2)": ("fail", None, (2, 4), 0, 5),
+    "I7(2)": ("fail", None, (7, 0), 0, 7),
+}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("label", list(_KNESER_PINS))
+def test_kneser_check_pinned_reports(label, bound):
+    lat = {
+        "A": a_lattice, "A_S": a_s_lattice, "A_MSY": a_msy_lattice,
+        "A_CMS": a_cms_lattice, "A(2)": lambda: rescale(a_lattice(), 2),
+        "I7(2)": lambda: catalog("I7(2)"),
+    }[label]()
+    overall, witness, sig, r2, r3 = _KNESER_PINS[label]
+    report = kneser_check(lat, bound)
+    expected = {"signature": sig, "rank_mod_2": r2, "rank_mod_3": r3,
+                "search_bound": bound}
+    if label == "I7(2)":
+        expected["search_skipped"] = "signature"
+    assert (report.overall, report.witness, report.details) == (overall, witness, expected)
+    assert report.minus_two_vector == ("pass" if witness else "inconclusive")
+
+
+def test_box_search_order_pins_first_witness():
+    # U + U has no norm -2 basis vector: the witness is the first box point
+    # in product order
+    uu = direct_sum([catalog("U"), catalog("U")])
+    assert [kneser_check(uu, b).witness for b in range(3)] == [
+        None, (-1, 0, -1, 1), (-2, 0, -1, 1)]
+
+
+def _counting_norm(monkeypatch):
+    calls = []
+    norm = GramLattice.norm
+
+    def counting(self, v):
+        calls.append(1)
+        return norm(self, v)
+
+    monkeypatch.setattr(GramLattice, "norm", counting)
+    return calls
+
+
+def test_box_search_over_budget_is_skipped(monkeypatch):
+    # U(2)^4 has signature (4, 4) and no -2 vector; at bound 3 its box holds
+    # 7^8 - 1 = 5,764,800 points, more than the budget
+    u4 = direct_sum([catalog("U(2)")] * 4)
+    calls = _counting_norm(monkeypatch)
+    report = kneser_check(u4, 3)
+    assert calls == []
+    assert report.minus_two_vector == "inconclusive"
+    assert report.details["search_skipped"] == "budget"
+    assert report.details["box_points"] == 7 ** 8 - 1 > lattice._BOX_POINT_BUDGET
+    # a basis vector of norm -2 is still found before the budget applies
+    with_root = kneser_check(direct_sum([u4, catalog("A1(-1)")]), 3)
+    assert with_root.minus_two_vector == "pass"
+    assert "search_skipped" not in with_root.details
+
+
+def test_box_search_within_budget_runs(monkeypatch):
+    u4 = direct_sum([catalog("U(2)")] * 4)
+    calls = _counting_norm(monkeypatch)
+    report = kneser_check(u4, 2)
+    assert len(calls) == 5 ** 8 - 1 == 390_624
+    assert report.witness is None and report.minus_two_vector == "inconclusive"
+    assert "search_skipped" not in report.details
+    assert "box_points" not in report.details
 
 
 def test_inner_dimension_mismatch():
