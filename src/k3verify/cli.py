@@ -221,7 +221,7 @@ def run_fibers(args) -> CheckReport:
         cert = families.genericity_certificate(point)
         report.add(
             "fiber configuration",
-            "pass",
+            "info",
             f"{config.summary()}; euler {config.total_euler}; "
             f"k3 {weierstrass.is_k3(model)}; genericity {cert}",
         )
@@ -391,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattices", parents=[common],
                        help="signatures, discriminant forms, Kneser reports")
     p.add_argument("--lattice", metavar="FILE",
-                   help='JSON file {"label": str, "gram": [[int]]} to check')
+                   help='JSON file {"label": str, "gram": [[int]]} to check, '
+                   f'rank at most {lattice._MAX_JSON_RANK}')
     p.set_defaults(runner=run_lattices, lattice=None)
 
     p = sub.add_parser("fibers", parents=[common],
@@ -415,8 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(runner=run_dims)
 
     p = sub.add_parser("all", parents=[common], help="run every suite")
-    p.add_argument("--lattice", metavar="FILE", help=argparse.SUPPRESS)
-    p.add_argument("--t", help=argparse.SUPPRESS)
     p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=60,
                    help=argparse.SUPPRESS)
     p.set_defaults(runner=run_all, lattice=None, t=None, pit=False)

@@ -7,15 +7,16 @@ algorithm (Ducos, "Optimizations of the subresultant algorithm", JPAA 145,
 one pseudo-remainder, then each subresultant from the previous two by Ducos'
 reduction, which divides exactly as it goes instead of forming the full
 pseudo-remainder, and each power quotient x^n / y^(n-1) by Lazard's
-square-and-divide.  A fraction-free Bareiss determinant of the Sylvester
-matrix (``method="bareiss"``) yields the identical value and serves as an
-independent oracle.
+square-and-divide.  The fraction-free Bareiss determinant of the Sylvester
+matrix (``method="bareiss"``, by ``exactalg.bareiss_det``) yields the
+identical value and serves as an independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import bareiss_det
 from .wpoly import WeightedPolynomial, _Kernel
 
 
@@ -106,66 +107,32 @@ def _prem(a, b, kernel):
     return r
 
 
-def sylvester_matrix(f: WeightedPolynomial, g: WeightedPolynomial, var: str):
-    """Sylvester matrix entries (f-rows first) as nested lists of polynomials."""
-    a = f.univariate_view(var)
-    b = g.univariate_view(var)
+def sylvester_matrix(a, b):
+    """Sylvester matrix of two coefficient lists (constant term first), as
+    nested lists of polynomials with the rows of ``a`` on top."""
     m, n = len(a) - 1, len(b) - 1
-    if m < 1 and n < 1:
-        raise BothConstantError(f"both inputs constant in {var!r}")
-    zero = WeightedPolynomial.zero(f.table)
-    size = m + n
+    zero = WeightedPolynomial.zero(a[0].table)
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(a)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(b)):
-            row[i + k] = c
-        rows.append(row)
+    for coeffs, count in ((a, n), (b, m)):
+        for i in range(count):
+            row = [zero] * (m + n)
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
     return rows
-
-
-def _bareiss_poly_det(rows, one):
-    """Fraction-free determinant over the polynomial ring."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                return one - one
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = one - one
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def resultant(
     f: WeightedPolynomial,
     g: WeightedPolynomial,
     var: str,
-    method: str = "auto",
+    method: str = "prs",
 ) -> WeightedPolynomial:
     """Resultant of f and g with respect to ``var``.
 
     Equals the Sylvester determinant with f-rows on top.  A constant operand is
     handled as lc(const)^deg(other); two constants raise BothConstantError.
     """
-    if method not in ("auto", "prs", "bareiss"):
+    if method not in ("prs", "bareiss"):
         raise ValueError(f"unknown method {method!r}")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
@@ -179,8 +146,8 @@ def resultant(
     if n < 1:
         return b[0] ** m
     if method == "bareiss":
-        one = WeightedPolynomial.constant(f.table, 1)
-        return _bareiss_poly_det(sylvester_matrix(f, g, var), one)
+        det = bareiss_det(sylvester_matrix(a, b), WeightedPolynomial.exact_div)
+        return WeightedPolynomial.zero(f.table) + det
     return _resultant_ducos(a, b)
 
 
@@ -275,7 +242,7 @@ def _ducos_reduction(p, q, z, s, kernel):
     return [exact_div(x, s) for x in out]
 
 
-def discriminant(f: WeightedPolynomial, var: str, method: str = "auto") -> WeightedPolynomial:
+def discriminant(f: WeightedPolynomial, var: str, method: str = "prs") -> WeightedPolynomial:
     """(-1)^(n(n-1)/2) * res(f, df/dvar) / lc(f), with exact division."""
     coeffs = f.univariate_view(var)
     n = len(coeffs) - 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import floordiv
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,6 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -95,19 +93,6 @@ class ExactMatrix:
                 for i in range(self.rows)
             ]
         )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return ExactMatrix.from_rows(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows([[-x for x in row] for row in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
         c = Fraction(c)
@@ -300,9 +285,13 @@ def inertia(m: ExactMatrix):
     return pos, neg, 0
 
 
-def bareiss_det(rows) -> int:
-    """Exact determinant of a square integer matrix, given as a sequence of
-    ``int`` rows, by Bareiss' fraction-free elimination."""
+def bareiss_det(rows, exact_div=floordiv):
+    """Determinant of a square matrix over an integral domain, given as a
+    sequence of rows, by Bareiss' fraction-free elimination (Math. Comp. 22,
+    1968).  The entries are ``int`` by default; over another domain, such as
+    Z[t], pass its exact division (``WeightedPolynomial.exact_div``).  Each
+    division is by the previous pivot.  A singular matrix gives the ``int`` 0.
+    """
     a = [list(row) for row in rows]
     n = len(a)
     if n == 0:
@@ -316,10 +305,12 @@ def bareiss_det(rows) -> int:
                 return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        pk, p = a[k], a[k][k]
         for i in range(k + 1, n):
+            ai, f = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+                ai[j] = exact_div(p * ai[j] - f * pk[j], prev)
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

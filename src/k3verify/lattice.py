@@ -36,7 +36,7 @@ class DegenerateLatticeError(ValueError):
 
 
 class OrderTooLargeError(ValueError):
-    """Finite-group enumeration exceeds the configured bound."""
+    """Finite-group enumeration exceeds ``_MAX_FORM_ORDER``."""
 
 
 class WrongNormError(ValueError):
@@ -257,15 +257,6 @@ def signature(lat: GramLattice):
     return pos, neg
 
 
-def _reduce_mod2(x: Fraction) -> Fraction:
-    num = x.numerator % (2 * x.denominator)
-    return Fraction(num, x.denominator)
-
-
-def _reduce_mod1(x: Fraction) -> Fraction:
-    return Fraction(x.numerator % x.denominator, x.denominator)
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     """Discriminant group with its Q/2Z-valued quadratic form.
@@ -282,10 +273,7 @@ class FiniteQuadraticForm:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.generator_orders:
-            n *= d
-        return n
+        return math.prod(self.generator_orders)
 
     def elements(self):
         return product(*(range(d) for d in self.generator_orders))
@@ -298,16 +286,13 @@ class FiniteQuadraticForm:
             total += element[i] * element[i] * self.q_diag[i]
             for j in range(i + 1, k):
                 total += 2 * element[i] * element[j] * self.bilinear[i][j]
-        return _reduce_mod2(total)
+        return total % 2
 
     def b_of(self, e1, e2) -> Fraction:
         """Bilinear pairing of two elements, reduced mod Z."""
-        total = Fraction(0)
-        k = len(self.generator_orders)
-        for i in range(k):
-            for j in range(k):
-                total += e1[i] * e2[j] * self.bilinear[i][j]
-        return _reduce_mod1(total)
+        b = self.bilinear
+        return sum((x * y * b[i][j] for i, x in enumerate(e1) if x
+                    for j, y in enumerate(e2) if y), Fraction(0)) % 1
 
     def element_order(self, element) -> int:
         return math.lcm(
@@ -321,8 +306,8 @@ def discriminant_group(lat: GramLattice) -> FiniteQuadraticForm:
     b = [[Fraction(lat.inner(wi, wj), di * dj) for dj, wj in gens] for di, wi in gens]
     return FiniteQuadraticForm(
         generator_orders=tuple(d for d, _w in gens),
-        q_diag=tuple(_reduce_mod2(b[i][i]) for i in range(len(gens))),
-        bilinear=tuple(tuple(_reduce_mod1(x) for x in row) for row in b),
+        q_diag=tuple(b[i][i] % 2 for i in range(len(gens))),
+        bilinear=tuple(tuple(x % 1 for x in row) for row in b),
     )
 
 
@@ -339,10 +324,14 @@ def _homomorphism_images(q: FiniteQuadraticForm, target: FiniteQuadraticForm):
     return by_gen
 
 
-def _maps_between(q: FiniteQuadraticForm, target: FiniteQuadraticForm, bound: int):
+# Largest discriminant-group order whose isomorphisms are enumerated.
+_MAX_FORM_ORDER = 10_000
+
+
+def _maps_between(q: FiniteQuadraticForm, target: FiniteQuadraticForm):
     """All q-isomorphisms q -> target, as tuples of generator images."""
-    if q.order > bound or target.order > bound:
-        raise OrderTooLargeError(f"group order exceeds bound {bound}")
+    if q.order > _MAX_FORM_ORDER or target.order > _MAX_FORM_ORDER:
+        raise OrderTooLargeError(f"group order exceeds bound {_MAX_FORM_ORDER}")
     if q.order != target.order:
         return []
     if q.generator_orders == ():
@@ -375,18 +364,18 @@ def _maps_between(q: FiniteQuadraticForm, target: FiniteQuadraticForm, bound: in
     return found
 
 
-def finite_form_automorphisms(q: FiniteQuadraticForm, bound: int = 10_000):
+def finite_form_automorphisms(q: FiniteQuadraticForm):
     """Count (and list) automorphisms of a finite quadratic form.
 
     Returns ``(count, automorphisms)`` where each automorphism is the tuple of
     generator images.
     """
-    autos = _maps_between(q, q, bound)
+    autos = _maps_between(q, q)
     return len(autos), autos
 
 
-def finite_forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm, bound: int = 10_000) -> bool:
-    return bool(_maps_between(q1, q2, bound))
+def finite_forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> bool:
+    return bool(_maps_between(q1, q2))
 
 
 def rank_mod_p(lat: GramLattice, p: int) -> int:
@@ -589,13 +578,11 @@ def is_primitive_sublattice(ambient: GramLattice, sub_basis) -> bool:
     return all(x == 1 for x in invariants)
 
 
-def same_genus_invariants(lat1: GramLattice, lat2: GramLattice, bound: int = 10_000) -> bool:
+def same_genus_invariants(lat1: GramLattice, lat2: GramLattice) -> bool:
     """Equal signatures and isomorphic discriminant quadratic forms."""
     if signature(lat1) != signature(lat2):
         return False
-    return finite_forms_isomorphic(
-        discriminant_group(lat1), discriminant_group(lat2), bound
-    )
+    return finite_forms_isomorphic(discriminant_group(lat1), discriminant_group(lat2))
 
 
 def is_period_point(lat: GramLattice, xi) -> bool:
@@ -681,9 +668,15 @@ def lattice_to_json(lat: GramLattice) -> str:
     return json.dumps({"label": lat.label, "gram": lat.gram.to_int_rows()})
 
 
+# Largest rank of a lattice read from JSON.  ``lattices --lattice`` grows as
+# about rank^3.3: 0.15 s at rank 64, 1.5 s at 128 (random even Gram matrices).
+_MAX_JSON_RANK = 64
+
+
 def lattice_from_json(text: str) -> GramLattice:
     """Parse ``{"label": str, "gram": [[int, ...], ...]}``; a malformed
-    document raises ``ValueError`` naming the bad field."""
+    document, or one of rank above ``_MAX_JSON_RANK``, raises ``ValueError``
+    naming the bad field."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("lattice JSON must be an object")
@@ -692,6 +685,8 @@ def lattice_from_json(text: str) -> GramLattice:
     rows = obj["gram"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('"gram" must be a list of rows, each a list')
+    if len(rows) > _MAX_JSON_RANK:
+        raise ValueError(f'"gram" has rank {len(rows)}, above the limit {_MAX_JSON_RANK}')
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError('"gram" has ragged rows')
     if not all(type(x) is int for row in rows for x in row):

@@ -698,6 +698,8 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
                     raise PolynomialSyntaxError(
                         "expected denominator", tokens[i - 1][2]
                     )
+                if tokens[i][1] == 0:
+                    raise PolynomialSyntaxError("zero denominator", tokens[i][2])
                 coeff *= Fraction(num, tokens[i][1])
                 i += 1
             else:

@@ -302,3 +302,48 @@ def test_any_escaping_exception_exits_three(monkeypatch, capsys, exc):
     assert captured.err.startswith(f"internal error: {type(exc).__name__}: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _diagonal_lattice_file(tmp_path, rank):
+    path = tmp_path / f"i{rank}.json"
+    gram = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    path.write_text(json.dumps({"label": f"I{rank}(2)", "gram": gram}))
+    return path
+
+
+def test_lattices_rank_above_limit_exits_two_before_any_check(tmp_path, monkeypatch,
+                                                             capsys):
+    path = _diagonal_lattice_file(tmp_path, 65)
+    built_in = []
+    monkeypatch.setattr(lattice, "a_lattice", lambda: built_in.append(1))
+    assert main(["lattices", "--lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert built_in == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert '"gram"' in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lattices_rank_at_limit_is_checked(tmp_path, capsys):
+    # I64(2) is positive definite, so its Kneser verdict is fail (exit 1)
+    path = _diagonal_lattice_file(tmp_path, 64)
+    assert main(["lattices", "--lattice", str(path), "--json"]) == 1
+    assert _statuses(capsys)["kneser_check(I64(2))"] == "fail"
+
+
+def test_fibers_single_point_configuration_is_info(capsys):
+    # the configuration entry reports what was found; only the euler check
+    # can fail
+    assert main(["fibers", "--t", "1,1,1,1,2", "--json"]) == 0
+    statuses = _statuses(capsys)
+    assert statuses["fiber configuration"] == "info"
+    assert statuses["euler number is 12 * height"] == "pass"
+
+
+def test_all_has_no_single_suite_inputs(capsys):
+    for flag, value in (("--lattice", "lat.json"), ("--t", "1,1,1,1,2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["all", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -258,3 +258,12 @@ def test_disc_r_matches_sympy():
     }
     assert len(expected) == 616
     assert disc_factorization().disc.terms == expected
+
+
+def test_bareiss_resultant_of_a_singular_sylvester_matrix_is_a_polynomial():
+    # x^2 and x^3 share the root 0; the elimination runs out of pivots and
+    # the int 0 of bareiss_det comes back as the zero polynomial
+    f, g = parse("x^2", XT), parse("x^3", XT)
+    res = resultant(f, g, "x", method="bareiss")
+    assert isinstance(res, WeightedPolynomial) and res.is_zero()
+    assert resultant(f, g, "x") == res

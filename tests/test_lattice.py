@@ -502,3 +502,20 @@ def test_primitive_sublattice_dependent():
 def test_json_malformed(text, field):
     with pytest.raises(ValueError, match=field):
         lattice_from_json(text)
+
+
+def test_non_cyclic_discriminant_form_automorphisms():
+    # U(2) has discriminant group (Z/2)^2 with q = 0, 0 on the generators and
+    # b = 1/2 between them, so the pairwise b check decides the count
+    q = discriminant_group(catalog("U(2)"))
+    assert q.generator_orders == (2, 2)
+    assert q.b_of((1, 0), (0, 1)) == Fraction(1, 2)
+    assert finite_form_automorphisms(q)[0] == 2
+
+
+def test_non_cyclic_discriminant_form_of_order_sixteen():
+    # the discriminant form of U(2) + U(2) is the even quadratic space of
+    # plus type over F_2 in dimension 4, whose orthogonal group has order 72
+    q = discriminant_group(direct_sum([catalog("U(2)"), catalog("U(2)")]))
+    assert q.generator_orders == (2, 2, 2, 2)
+    assert finite_form_automorphisms(q)[0] == 72

@@ -23,6 +23,7 @@ from k3verify.weierstrass import (
 )
 from k3verify.eliminate import PitConfig, sample_point
 from k3verify.families import ParameterPoint, build_s, random_certified_points, sample_points
+from k3verify.wpoly import PolynomialSyntaxError
 
 
 def _points():
@@ -278,6 +279,11 @@ def test_model_json_format_is_rendered_x0_text():
                     '"g3": "x0^7 + 3*x0^6 + 2*x0^5 + 5*x0^4"}')
     assert set(json.loads(text)) == {"g2", "g3"}
     assert model_from_json(text) == model
+
+
+def test_model_from_json_zero_denominator_is_a_syntax_error():
+    with pytest.raises(PolynomialSyntaxError, match="zero denominator"):
+        model_from_json('{"g2": "1/0*x0^4", "g3": "x0^7"}')
 
 
 def _seeded_models(seed):

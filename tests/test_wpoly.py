@@ -67,6 +67,13 @@ def test_parse_errors():
         parse("t5", T)
 
 
+def test_parse_zero_denominator_is_a_syntax_error():
+    with pytest.raises(PolynomialSyntaxError, match="zero denominator") as exc:
+        parse("3/0*t4", T)
+    assert exc.value.position == 2
+    assert isinstance(exc.value, ValueError)
+
+
 def test_ring_ops():
     t4 = WeightedPolynomial.variable(T, "t4")
     t6 = WeightedPolynomial.variable(T, "t6")
