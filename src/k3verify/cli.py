@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,14 +88,35 @@ def _pit_config(args) -> PitConfig:
     return PitConfig(trials=args.trials, seed=args.seed)
 
 
+# disc(R) - c * r^3 * d90 is a form of weight 180 in t4, ..., t18, whose least
+# weight is 4, so its total degree is at most 45.  By Schwartz-Zippel a trial
+# with coordinates drawn from the 2B + 1 integers in [-B, B] misses a nonzero
+# difference with probability at most 45 / (2B + 1).
+_PIT_DEGREE = 45
+
+
+def _pit_error_bound(cfg: PitConfig, used: int) -> str:
+    """The error bounds of a passing ``disc-factor --pit`` run: per trial, and
+    for the ``used - 1`` independent trials after the first one fitted c."""
+    width = 2 * cfg.sample_bound + 1
+    per_trial = f"{_PIT_DEGREE}/{width}"
+    trials = max(used - 1, 0)
+    exponent = math.ceil(trials * math.log10(_PIT_DEGREE / width))
+    return (f"per-trial error bound {per_trial} (degree {_PIT_DEGREE}, "
+            f"B = {cfg.sample_bound}); after c is fitted, {trials} trials "
+            f"bound the error by ({per_trial})^{trials} <= 1e{exponent}")
+
+
 def run_disc_factor(args) -> CheckReport:
     report = CheckReport(suite="disc-factor", seed=args.seed)
     if args.pit:
-        c, used, ok, witness = families.pit_disc_factorization(_pit_config(args))
+        cfg = _pit_config(args)
+        c, used, ok, witness = families.pit_disc_factorization(cfg)
         report.check(
             "disc(R) = c * r^3 * d90 (probabilistic)",
             ok,
-            f"{used} trials, all residuals zero" if ok else "nonzero residual",
+            f"{used} trials, all residuals zero; {_pit_error_bound(cfg, used)}"
+            if ok else "nonzero residual",
             witness,
         )
         report.check(f"c = {_README_C}", c == _README_C, f"c = {c}")
@@ -213,7 +235,7 @@ def _parse_t(text: str) -> families.ParameterPoint:
 
 def run_fibers(args) -> CheckReport:
     report = CheckReport(suite="fibers", seed=args.seed)
-    if args.t:
+    if args.t is not None:
         point = _parse_t(args.t)
         model = families.build_s(point)
         minimal = weierstrass.minimalize_everywhere(model)

@@ -5,6 +5,11 @@ trailing zeros; ``()`` is the zero polynomial.  Over Z everything stays in
 Z[x]: gcds and squarefree parts are primitive with a positive leading
 coefficient, and exact division needs no fractions because of Gauss's lemma:
 when a primitive b divides a in Q[x], the quotient already lies in Z[x].
+``gcd`` and ``squarefree`` first split off the power of x that divides their
+input (``split_x``, read off the low zero coefficients) and run the remainder
+sequence and Yun's loop on the x-free parts only: the discriminant of an
+elliptic fibration often carries a high power of x0, which no gcd needs to
+rediscover.
 
 Over F_p (the last section, ``factor_mod_p``) the same tuples hold
 coefficients in range(p), and only the steps that divide by a leading
@@ -111,36 +116,55 @@ def prem(a, b) -> tuple:
     return tuple(r)
 
 
+def split_x(a):
+    """(k, a[k:]) with a = x^k * a[k:] and a[k:] not divisible by x;
+    (0, ()) for the zero polynomial."""
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return k, a[k:]
+
+
 def gcd(a, b) -> tuple:
-    """Primitive gcd by the primitive polynomial remainder sequence."""
+    """Primitive gcd: x^min(ka, kb) times the gcd of the x-free parts by the
+    primitive polynomial remainder sequence, where x^ka and x^kb are the
+    powers of x dividing a and b."""
     a, b = primitive(a)[1], primitive(b)[1]
+    if not a or not b:
+        return a or b
+    (ka, a), (kb, b) = split_x(a), split_x(b)
     while b:
         a, b = b, primitive(prem(a, b))[1]
-    return a
+    return (0,) * min(ka, kb) + a
 
 
 def squarefree(a):
     """Yun's decomposition a = c * prod f_k^k as the list of (f_k, k) with
     deg f_k >= 1; the f_k are primitive, squarefree and pairwise coprime.
 
+    Yun's loop runs on the x-free part of a; the power x^j dividing a is
+    then multiplied into f_j, or inserted as (x, j) when there is no f_j.
     c and w are divided by the same primitive polynomials, so they keep the
     common scale that Yun's invariant w - c' = f_k * (...) relies on.
     """
-    a = primitive(a)[1]
-    if len(a) < 2:
-        return []
-    d = derivative(a)
-    g = gcd(a, d)
-    c, w = exact_div(a, g), exact_div(d, g)
+    j, a = split_x(primitive(a)[1])
     strata = []
-    k = 1
-    while len(c) > 1:
-        y = combine(w, 1, derivative(c), -1)
-        f = gcd(c, y)
-        if len(f) > 1:
-            strata.append((f, k))
-        c, w = exact_div(c, f), exact_div(y, f)
-        k += 1
+    if len(a) > 1:
+        d = derivative(a)
+        g = gcd(a, d)
+        c, w = exact_div(a, g), exact_div(d, g)
+        k = 1
+        while len(c) > 1:
+            y = combine(w, 1, derivative(c), -1)
+            f = gcd(c, y)
+            if len(f) > 1:
+                strata.append((f, k))
+            c, w = exact_div(c, f), exact_div(y, f)
+            k += 1
+    if j:
+        by_multiplicity = {k: f for f, k in strata}
+        by_multiplicity[j] = (0,) + by_multiplicity.get(j, (1,))
+        strata = [(by_multiplicity[k], k) for k in sorted(by_multiplicity)]
     return strata
 
 

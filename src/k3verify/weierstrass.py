@@ -122,9 +122,14 @@ def squarefree_strata(a):
 
 
 def _multiplicity(a, f):
-    """How many times the nonconstant primitive f divides a; INFINITY for a = 0."""
+    """How many times the nonconstant primitive f divides a; INFINITY for a = 0.
+
+    For f = x0 that is the number of low zero coefficients of a.
+    """
     if not a:
         return INFINITY
+    if f == (0, 1):
+        return upoly.split_x(a)[0]
     count = 0
     while (a := upoly.exact_div(a, f)) is not None:
         count += 1
@@ -136,10 +141,11 @@ def _mult_partition(f, poly):
 
     Returns a list of (g, m) with the g primitive, squarefree, pairwise
     coprime, prod g = f up to sign, and every irreducible factor of g dividing
-    poly exactly m times.  A zero poly gives [(f, INFINITY)].
+    poly exactly m times.  A zero poly gives [(f, INFINITY)], and a linear f
+    is not split.
     """
-    if not poly:
-        return [(f, INFINITY)]
+    if len(f) == 2 or not poly:
+        return [(f, _multiplicity(poly, f))]
     parts, current, remaining, m = [], f, poly, 0
     while len(current) > 1:
         deeper = upoly.gcd(current, remaining)

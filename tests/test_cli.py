@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from k3verify import cli, families, lattice
+from k3verify import cli, exactalg, families, lattice
 from k3verify.cli import main
 from k3verify.eliminate import PitConfig
 from k3verify.wpoly import NotDivisibleError, WeightedPolynomial
@@ -347,3 +350,116 @@ def test_all_has_no_single_suite_inputs(capsys):
             main(["all", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def test_disc_factor_pit_states_its_error_bound(capsys):
+    assert main(["disc-factor", "--pit", "--trials", "12", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    check = report["checks"][0]
+    assert check["name"] == "disc(R) = c * r^3 * d90 (probabilistic)"
+    assert check["status"] == "pass"
+    # a weight-180 form in t4..t18 has total degree at most 45, and the
+    # samples come from the 2B + 1 = 2000007 integers in [-B, B]
+    assert "per-trial error bound 45/2000007" in check["details"]
+    assert "(45/2000007)^11 <= 1e-51" in check["details"]
+
+
+def _generic_even_gram(rank, seed=0):
+    rng = random.Random(seed)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * rng.randint(-3, 3)
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+    return gram
+
+
+def test_user_lattice_never_reaches_the_smith_form(tmp_path, monkeypatch, capsys):
+    # the Smith form of this rank-8 matrix does not finish in a minute, so a
+    # user lattice must be checked without it: the built-in checks make all
+    # the calls, and they make as many with --lattice as without
+    path = tmp_path / "generic8.json"
+    gram = _generic_even_gram(8)
+    path.write_text(json.dumps({"label": "generic8", "gram": gram}))
+    smith = exactalg.smith_normal_form
+    built_in, calls, unseen = set(), [], []
+
+    def counting(m):
+        key = tuple(map(tuple, m.to_int_rows()))
+        calls.append(key)
+        if recording_built_ins:
+            built_in.add(key)
+        elif key not in built_in:
+            unseen.append(key)
+            raise AssertionError("Smith form of a user lattice")
+        return smith(m)
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", counting)
+    monkeypatch.setattr(lattice, "smith_normal_form", counting)
+    recording_built_ins = True
+    assert main(["lattices", "--bound", "0"]) == 0
+    capsys.readouterr()
+    without = len(calls)
+    recording_built_ins = False
+    calls.clear()
+    code = main(["lattices", "--lattice", str(path), "--bound", "0", "--json"])
+    assert unseen == []
+    assert len(calls) == without
+    assert code in (0, 1)
+    assert "kneser_check(generic8)" in _statuses(capsys)
+
+
+def _argv_strategy(st):
+    rational = st.builds(lambda n, d: f"{n}/{d}" if d != 1 else str(n),
+                         st.integers(-40, 40), st.integers(1, 9))
+    malformed = st.sampled_from(["", "1,2", "1,,2,3,4", "1/0,1,1,1,1", "x,1,1,1,1",
+                                 "1,2,3,4,5,6", "1.5e,1,1,1,1", " , , , , "])
+    t_text = st.one_of(st.lists(rational, min_size=5, max_size=5).map(",".join), malformed)
+    return st.one_of(
+        st.tuples(st.just("fibers"), st.just("--t"), t_text),
+        st.tuples(st.just("lattices"), st.just("--bound"),
+                  st.one_of(st.integers(-2, 1).map(str), st.just("one"))),
+        st.tuples(st.just("disc-factor"), st.just("--trials"),
+                  st.integers(-1, 20).map(str), st.just("--pit")),
+        st.tuples(st.just("irreducible"), st.just("--trials"),
+                  st.one_of(st.integers(-1, 8).map(str), st.just("8.5"))),
+        st.tuples(st.just("dims"), st.just("--max-weight"),
+                  st.one_of(st.integers(-2, 40).map(str), st.just("401"), st.just("ten"))),
+    ).map(list)
+
+
+def _is_usage_error(argv):
+    flag, value = argv[1], argv[2]
+    if flag == "--t":
+        try:
+            return len([Fraction(p) for p in value.split(",")]) != 5
+        except (ValueError, ZeroDivisionError):
+            return True
+    try:
+        number = int(value)
+    except ValueError:
+        return True
+    low, high = {"--bound": (0, None), "--trials": (1, 100_000),
+                 "--max-weight": (0, 400)}[flag]
+    return number < low or (high is not None and number > high)
+
+
+def test_main_exit_codes_in_process():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(_argv_strategy(st))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a value
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if _is_usage_error(argv):
+            assert code == 2, (argv, code, err.getvalue())
+
+    check()

@@ -116,3 +116,124 @@ def test_factor_mod_p_trace_split_over_f2():
     g, h = (1, 1, 0, 1), (1, 0, 1, 1)
     result = upoly.factor_mod_p(upoly.mul(g, h), 2)
     assert result == upoly.FactorizationModP(2, 1, ((h, 1), (g, 1)))
+
+
+# -- splitting off the power of x ---------------------------------------------
+
+
+def _unsplit_gcd(a, b):
+    """The primitive remainder sequence run on the whole of a and b."""
+    a, b = upoly.primitive(a)[1], upoly.primitive(b)[1]
+    while b:
+        a, b = b, upoly.primitive(upoly.prem(a, b))[1]
+    return a
+
+
+def _unsplit_squarefree(a):
+    """Yun's loop run on the whole of a, with the unsplit gcd."""
+    a = upoly.primitive(a)[1]
+    if len(a) < 2:
+        return []
+    d = upoly.derivative(a)
+    g = _unsplit_gcd(a, d)
+    c, w = upoly.exact_div(a, g), upoly.exact_div(d, g)
+    strata = []
+    k = 1
+    while len(c) > 1:
+        y = upoly.combine(w, 1, upoly.derivative(c), -1)
+        f = _unsplit_gcd(c, y)
+        if len(f) > 1:
+            strata.append((f, k))
+        c, w = upoly.exact_div(c, f), upoly.exact_div(y, f)
+        k += 1
+    return strata
+
+
+def _times_x(k, a):
+    return (0,) * k + tuple(a) if a else ()
+
+
+def test_split_x():
+    assert upoly.split_x(()) == (0, ())
+    assert upoly.split_x((5,)) == (0, (5,))
+    assert upoly.split_x((0, 0, 0, -2)) == (3, (-2,))
+    assert upoly.split_x((0, 3, 0, 1)) == (1, (3, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "a, expected",
+    [
+        ((), []),
+        ((-4,), []),
+        ((0, 0, 0, -6), [((0, 1), 3)]),  # -6 x^3
+        ((0, 2), [((0, 1), 1)]),
+        # x^2 (x - 1)^2: x joins the stratum of multiplicity 2
+        (upoly.mul((0, 0, 1), upoly.power((-1, 1), 2)), [((0, -1, 1), 2)]),
+        # -x^3 (x + 2) (2x - 1)^2: strata of multiplicity 1 and 2, x^3 after them
+        (upoly.mul((0, 0, 0, -1), upoly.mul((2, 1), upoly.power((-1, 2), 2))),
+         [((2, 1), 1), ((-1, 2), 2), ((0, 1), 3)]),
+        # x (3x + 1)^4 with a negative leading coefficient: x comes first
+        (upoly.mul((0, -1), upoly.power((1, 3), 4)), [((0, 1), 1), ((1, 3), 4)]),
+    ],
+    ids=["zero", "constant", "c-x-cubed", "x", "equal-multiplicity", "last", "first"],
+)
+def test_squarefree_merges_the_power_of_x(a, expected):
+    assert upoly.squarefree(a) == expected == _unsplit_squarefree(a)
+
+
+def test_gcd_with_powers_of_x():
+    assert upoly.gcd((), ()) == ()
+    assert upoly.gcd((), (0, 0, -3)) == (0, 0, 1)
+    assert upoly.gcd((0, 0, 4), ()) == (0, 0, 1)
+    assert upoly.gcd((7,), (0, 0, 1)) == (1,)
+    assert upoly.gcd((0, 0, 0, -2), (0, 6)) == (0, 1)
+    # -x^2 (x - 1) and 4 x^5 (x - 1)^2 (x + 3)
+    a = upoly.mul((0, 0, -1), (-1, 1))
+    b = upoly.mul((0, 0, 0, 0, 0, 4), upoly.mul(upoly.power((-1, 1), 2), (3, 1)))
+    assert upoly.gcd(a, b) == (0, 0, -1, 1) == _unsplit_gcd(a, b)
+
+
+def _int_poly(st, max_len=5, bound=6):
+    return st.lists(st.integers(-bound, bound), max_size=max_len).map(upoly.trim)
+
+
+def test_split_gcd_and_squarefree_match_the_unsplit_loops():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_int_poly(st), _int_poly(st), _int_poly(st, max_len=3),
+                      st.integers(0, 6), st.integers(0, 6), st.integers(1, 3))
+    def check(a, b, common, i, j, m):
+        if common:
+            a, b = upoly.mul(a, common), upoly.mul(b, common)
+        x_a, x_b = _times_x(i, a), _times_x(j, b)
+        assert upoly.gcd(x_a, x_b) == _unsplit_gcd(x_a, x_b)
+        # a repeated factor, so Yun returns strata of several multiplicities
+        f = _times_x(i, upoly.mul(upoly.power(common, m), b) if common else b)
+        assert upoly.squarefree(f) == _unsplit_squarefree(f)
+
+    check()
+
+
+def test_split_gcd_and_squarefree_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)), x, domain="ZZ")
+
+    def from_sympy(p):
+        # primitive with a positive leading coefficient, lowest degree first
+        return upoly.primitive(tuple(int(c) for c in reversed(p.all_coeffs())))[1]
+
+    rng = random.Random(23)
+    for _ in range(150):
+        common = _random_poly(rng, rng.randint(0, 2), bound=4)
+        a = _times_x(rng.randint(0, 5), upoly.mul(_random_poly(rng, rng.randint(0, 4)), common))
+        b = _times_x(rng.randint(0, 5), upoly.mul(_random_poly(rng, rng.randint(0, 4)), common))
+        assert upoly.gcd(a, b) == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+        f = upoly.mul(upoly.power(common, rng.randint(1, 3)), a)
+        _content, factors = sympy.sqf_list(to_sympy(f))
+        expected = [(from_sympy(p), k) for p, k in factors if p.degree() > 0]
+        assert upoly.squarefree(f) == expected

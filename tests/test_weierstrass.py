@@ -370,3 +370,65 @@ def test_classify_then_is_k3_runs_one_squarefree(monkeypatch):
     assert config.summary() == "II* + IV* + 6 I1"
     assert len(calls) == 1
     assert weierstrass.minimalize_everywhere(model) is model
+
+
+def _gcd_loop_partition(f, poly):
+    """_mult_partition as a gcd-and-divide loop for every stratum."""
+    if not poly:
+        return [(f, INFINITY)]
+    parts, current, remaining, m = [], f, poly, 0
+    while len(current) > 1:
+        deeper = upoly.gcd(current, remaining)
+        factor = upoly.exact_div(current, deeper)
+        if len(factor) > 1:
+            parts.append((factor, m))
+        if len(deeper) < 2:
+            break
+        remaining = upoly.exact_div(remaining, deeper)
+        current = deeper
+        m += 1
+    return parts
+
+
+def _exact_div_count(a, f):
+    count = 0
+    while (a := upoly.exact_div(a, f)) is not None:
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("f", [(0, 1), (-3, 2), (5, 1)], ids=["root-0", "root-3/2", "root-minus-5"])
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_mult_partition_of_a_linear_stratum(f, m):
+    # poly = f^m (x^2 + 7) (2x - 2)
+    rest = upoly.mul((7, 0, 1), (-2, 2))
+    poly = upoly.mul(upoly.power(f, m), rest)
+    assert weierstrass._multiplicity(poly, f) == m == _exact_div_count(poly, f)
+    assert weierstrass._mult_partition(f, poly) == [(f, m)] == _gcd_loop_partition(f, poly)
+
+
+@pytest.mark.parametrize("f", [(0, 1), (-3, 2)], ids=["root-0", "root-3/2"])
+def test_mult_partition_of_a_linear_stratum_in_zero(f):
+    assert weierstrass._multiplicity((), f) is INFINITY
+    assert weierstrass._mult_partition(f, ()) == [(f, INFINITY)] == _gcd_loop_partition(f, ())
+
+
+def test_classification_never_runs_a_remainder_on_two_multiples_of_x0(monkeypatch):
+    # every model of S(t) has x0^3 | g2 and x0^4 | g3; gcd and Yun split the
+    # power of x0 off first, so no pseudo-remainder sees it in both operands
+    prem = upoly.prem
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return prem(a, b)
+
+    monkeypatch.setattr(upoly, "prem", recording)
+    points = [entry["point"] for entry in sample_points()] + random_certified_points(20)
+    for point in points:
+        built = build_s(point)
+        model = WeierstrassModel(built.g2, built.g3, built.height)  # nothing cached
+        fiber_configuration(minimalize_everywhere(model))
+        is_k3(model)
+    assert calls
+    assert all(a[0] or b[0] for a, b in calls)
