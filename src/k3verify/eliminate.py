@@ -1,4 +1,5 @@
-"""Resultants, discriminants, and probabilistic polynomial-identity testing.
+"""Resultants, discriminants, and the sample points of probabilistic identity
+testing.
 
 The resultant is defined as the determinant of the Sylvester matrix with the
 rows of the first argument on top.  It is computed by Ducos' subresultant
@@ -7,16 +8,12 @@ algorithm (Ducos, "Optimizations of the subresultant algorithm", JPAA 145,
 one pseudo-remainder, then each subresultant from the previous two by Ducos'
 reduction, which divides exactly as it goes instead of forming the full
 pseudo-remainder, and each power quotient x^n / y^(n-1) by Lazard's
-square-and-divide.  The fraction-free Bareiss determinant of the Sylvester
-matrix (``method="bareiss"``, by ``exactalg.bareiss_det``) yields the
-identical value and serves as an independent oracle.
+square-and-divide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactalg import bareiss_det
 from .wpoly import WeightedPolynomial, _Kernel
 
 
@@ -39,20 +36,6 @@ class PitConfig:
             raise ValueError("trials must be >= 1")
         if self.sample_bound < 2:
             raise ValueError("sample_bound must be >= 2")
-
-
-@dataclass(frozen=True)
-class PitVerdict:
-    """Outcome of a randomized identity test."""
-
-    equal: bool
-    trials: int
-    witness_point: tuple = None
-    witness_value: Fraction = None
-    per_trial_bound: Fraction = None
-
-    def __bool__(self):
-        return self.equal
 
 
 _MASK = (1 << 64) - 1
@@ -107,33 +90,12 @@ def _prem(a, b, kernel):
     return r
 
 
-def sylvester_matrix(a, b):
-    """Sylvester matrix of two coefficient lists (constant term first), as
-    nested lists of polynomials with the rows of ``a`` on top."""
-    m, n = len(a) - 1, len(b) - 1
-    zero = WeightedPolynomial.zero(a[0].table)
-    rows = []
-    for coeffs, count in ((a, n), (b, m)):
-        for i in range(count):
-            row = [zero] * (m + n)
-            row[i:i + len(coeffs)] = reversed(coeffs)
-            rows.append(row)
-    return rows
-
-
-def resultant(
-    f: WeightedPolynomial,
-    g: WeightedPolynomial,
-    var: str,
-    method: str = "prs",
-) -> WeightedPolynomial:
+def resultant(f: WeightedPolynomial, g: WeightedPolynomial, var: str) -> WeightedPolynomial:
     """Resultant of f and g with respect to ``var``.
 
     Equals the Sylvester determinant with f-rows on top.  A constant operand is
     handled as lc(const)^deg(other); two constants raise BothConstantError.
     """
-    if method not in ("prs", "bareiss"):
-        raise ValueError(f"unknown method {method!r}")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
     a = f.univariate_view(var)
@@ -145,9 +107,6 @@ def resultant(
         return a[0] ** n
     if n < 1:
         return b[0] ** m
-    if method == "bareiss":
-        det = bareiss_det(sylvester_matrix(a, b), WeightedPolynomial.exact_div)
-        return WeightedPolynomial.zero(f.table) + det
     return _resultant_ducos(a, b)
 
 
@@ -242,31 +201,15 @@ def _ducos_reduction(p, q, z, s, kernel):
     return [exact_div(x, s) for x in out]
 
 
-def discriminant(f: WeightedPolynomial, var: str, method: str = "prs") -> WeightedPolynomial:
+def discriminant(f: WeightedPolynomial, var: str) -> WeightedPolynomial:
     """(-1)^(n(n-1)/2) * res(f, df/dvar) / lc(f), with exact division."""
     coeffs = f.univariate_view(var)
     n = len(coeffs) - 1
     if n < 2:
         raise DegreeTooLowError(f"degree {n} in {var!r} is below 2")
     lc = coeffs[-1]
-    res = resultant(f, f.derivative(var), var, method=method)
+    res = resultant(f, f.derivative(var), var)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     quotient = res.exact_div(lc)
     return quotient if sign == 1 else -quotient
 
-
-def pit_equal(f: WeightedPolynomial, g: WeightedPolynomial, cfg: PitConfig) -> PitVerdict:
-    """Schwartz-Zippel identity test of f == g at cfg.trials random points."""
-    diff = f - g
-    if diff.is_zero():
-        return PitVerdict(True, cfg.trials, per_trial_bound=Fraction(0))
-    nvars = len(f.table)
-    width = 2 * cfg.sample_bound + 1
-    degree = diff.total_degree()
-    bound = min(Fraction(int(degree), width), Fraction(1))
-    for trial in range(cfg.trials):
-        point = sample_point(cfg, trial, nvars)
-        value = diff.evaluate(point)
-        if value != 0:
-            return PitVerdict(False, trial + 1, witness_point=point, witness_value=value)
-    return PitVerdict(True, cfg.trials, per_trial_bound=bound)

@@ -1,6 +1,6 @@
 """The concrete verification targets: the family S(t), its discriminant
-factorization, the printed weight-90 polynomial, the CD specialization, the
-Igusa parameter map, dimension counts, and the irreducibility certificate.
+factorization, the printed weight-90 polynomial, the CD specialization,
+dimension counts, and the irreducibility certificate.
 
 The printed polynomials ship as golden data files; every derived polynomial is
 diffed against its golden counterpart, and a mismatch raises
@@ -65,25 +65,6 @@ class ParameterPoint:
 
     def as_tuple(self):
         return (self.t4, self.t6, self.t10, self.t12, self.t18)
-
-
-@dataclass(frozen=True)
-class CdParameterPoint:
-    """A point (alpha, beta, gamma, delta) of weights (4, 6, 10, 12)."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not any(self.as_tuple()):
-            raise ValueError("parameter point must be nonzero")
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma, self.delta)
 
 
 def _load_text(filename: str) -> str:
@@ -261,17 +242,9 @@ def pit_disc_factorization(cfg: PitConfig):
 # -- the CD family --------------------------------------------------------------
 
 
-def build_scd(point: CdParameterPoint) -> WeierstrassModel:
-    """The CD model in the x1 chart: g2 = -3a x1^4 - g x1^5,
-    g3 = x1^5 - 2b x1^6 + d x1^7."""
-    a, b, g, d = point.as_tuple()
-    return WeierstrassModel(
-        (0, 0, 0, 0, -3 * a, -g), (0, 0, 0, 0, 0, 1, -2 * b, d), height=2
-    )
-
-
 def build_scd_symbolic():
-    """CD model coefficients over CDX_TABLE."""
+    """The CD model in the x1 chart over CDX_TABLE: g2 = -3a x1^4 - g x1^5,
+    g3 = x1^5 - 2b x1^6 + d x1^7."""
     x1 = _var(CDX_TABLE, "x1")
     a, b = _var(CDX_TABLE, "alpha"), _var(CDX_TABLE, "beta")
     g, d = _var(CDX_TABLE, "gamma"), _var(CDX_TABLE, "delta")
@@ -383,17 +356,6 @@ def _chart_swap(p: WeightedPolynomial, bound: int) -> WeightedPolynomial:
     return WeightedPolynomial.from_terms(MIX_TABLE, terms)
 
 
-def igusa_to_cd(i2, i4, i6, i10) -> CdParameterPoint:
-    """The reference monomial map from Igusa invariants to CD parameters."""
-    i2, i4, i6, i10 = Fraction(i2), Fraction(i4), Fraction(i6), Fraction(i10)
-    return CdParameterPoint(
-        alpha=i4 / 9,
-        beta=(-i2 * i4 + 3 * i6) / 27,
-        gamma=8 * i10,
-        delta=Fraction(2, 3) * i2 * i10,
-    )
-
-
 # -- dimension counts ------------------------------------------------------------
 
 _WEIGHTS = (4, 6, 10, 12, 18)
@@ -459,7 +421,6 @@ def irreducibility_certificate(
     poly: WeightedPolynomial,
     var: str,
     cfg: PitConfig = PitConfig(trials=64),
-    primes=_CERTIFICATE_PRIMES,
 ) -> IrreducibilityCertificate:
     """Certify irreducibility over Q of a polynomial primitive in ``var``.
 
@@ -494,7 +455,7 @@ def irreducibility_certificate(
         if any(c % den for c in coeffs) or coeffs[degree] == 0:
             continue
         coeffs = [c // den for c in coeffs]
-        for p in primes:
+        for p in _CERTIFICATE_PRIMES:
             if coeffs[degree] % p == 0:
                 continue
             factorization = factor_mod_p(coeffs, p)
@@ -521,24 +482,6 @@ def d90_irreducibility_certificate(cfg: PitConfig = PitConfig(trials=64)):
 
 
 # -- bookkeeping and sample points -----------------------------------------------
-
-
-def s54_square_identity() -> bool:
-    """Weight bookkeeping of the square relations: Delta_T = t18 * d90 with
-    weights 108 = 2*54, 18 = 2*9, 90 = 2*45."""
-    delta_t = delta_t_poly()
-    t18 = _var(T_TABLE, "t18")
-    checks = (
-        delta_t.is_weighted_homogeneous(),
-        delta_t.weighted_degree() == 108,
-        108 == 2 * 54,
-        18 == 2 * 9,
-        90 == 2 * 45,
-        108 == 18 + 90,
-        54 == 9 + 45,
-        delta_t.exact_div(t18) == printed_d90(),
-    )
-    return all(checks)
 
 
 def genericity_certificate(point: ParameterPoint) -> dict:

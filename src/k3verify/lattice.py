@@ -3,8 +3,7 @@
 A lattice is stored as its Gram matrix on a fixed basis.  Gram forms are
 evaluated in ``int``: rational vectors are scaled to integral ones first and
 the denominator is divided out once.  All invariants are exact and no
-floating point enters the module: even :func:`is_period_point` takes its
-complex coordinates as pairs of rationals.
+floating point enters the module.
 """
 from __future__ import annotations
 
@@ -35,8 +34,9 @@ class DegenerateLatticeError(ValueError):
     """Operation requires a nondegenerate Gram matrix."""
 
 
-class OrderTooLargeError(ValueError):
-    """Finite-group enumeration exceeds ``_MAX_FORM_ORDER``."""
+class OrderTooLargeError(ArithmeticError):
+    """Finite-group enumeration exceeds ``_MAX_FORM_ORDER``: an internal cap,
+    not a fault in the input, so the CLI reports it as an internal error."""
 
 
 class WrongNormError(ValueError):
@@ -45,10 +45,6 @@ class WrongNormError(ValueError):
 
 class DependentBasisError(ValueError):
     """Sublattice basis vectors are linearly dependent."""
-
-
-class ZeroVectorError(ValueError):
-    """The zero vector is not a valid period candidate."""
 
 
 def _mat_vec(rows, v):
@@ -583,27 +579,6 @@ def same_genus_invariants(lat1: GramLattice, lat2: GramLattice) -> bool:
     if signature(lat1) != signature(lat2):
         return False
     return finite_forms_isomorphic(discriminant_group(lat1), discriminant_group(lat2))
-
-
-def is_period_point(lat: GramLattice, xi) -> bool:
-    """Riemann-Hodge membership test: (xi, xi) = 0 and (xi, conj xi) > 0.
-
-    Each coordinate is a pair ``(re, im)`` of exact rationals.
-    """
-    coords = list(xi)
-    if len(coords) != lat.rank:
-        raise ValueError("coordinate length does not match rank")
-    if not all(isinstance(c, tuple) and len(c) == 2 for c in coords):
-        raise ValueError("each coordinate must be a pair (re, im)")
-    re = [Fraction(c[0]) for c in coords]
-    im = [Fraction(c[1]) for c in coords]
-    if all(x == 0 for x in re) and all(x == 0 for x in im):
-        raise ZeroVectorError("xi must be nonzero")
-    # (xi, xi) = (re, re) - (im, im) + 2i (re, im); (xi, conj xi) = (re, re) + (im, im)
-    rr = lat.inner(re, re)
-    ii = lat.inner(im, im)
-    ri = lat.inner(re, im)
-    return rr - ii == 0 and ri == 0 and rr + ii > 0
 
 
 # -- the lattices of the verification suite -----------------------------------

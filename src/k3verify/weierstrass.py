@@ -11,8 +11,9 @@ g2, g3 and Delta are constant, so the Kodaira type is decided per stratum.
 The strata, gcds, multiplicities and valuations are computed in Z[x] (see
 ``upoly``) on the primitive integer associates of g2, g3 and Delta, which a
 model computes once.  ``Fraction`` returns only at the boundary: the monic
-strata of ``squarefree_strata``, finite places and rendered place
-polynomials, and the g2 and g3 of a twisted-down model.
+strata of ``squarefree_strata``, rational places, and the g2 and g3 of a
+twisted-down model.  A stratum of several roots keeps its integer polynomial
+as its place; only the error for a model not minimal along it renders one.
 
 The classification is cached on the model: the Yun strata of Delta, the
 minimal model and the fiber configuration are each computed at most once per
@@ -37,15 +38,6 @@ _X0_TABLE = VariableTable(("x0",), (1,))
 _KODAIRA_EULER = {
     "I0": 0, "II": 2, "III": 3, "IV": 4,
     "IV*": 8, "III*": 9, "II*": 10,
-}
-
-_KODAIRA_MULTIPLICITIES = {
-    # component multiplicities of the reducible fibers that occur here;
-    # II* is the extended E8 diagram with a0 + 2a1 + 3a2 + 4a3 + 5a4 + 6a5
-    # + 3a6 + 4a7 + 2a8
-    "II*": (1, 2, 3, 4, 5, 6, 3, 4, 2),
-    "III*": (1, 2, 3, 4, 3, 2, 1, 2),
-    "IV*": (1, 2, 3, 2, 1, 2, 1),
 }
 
 
@@ -75,12 +67,6 @@ class KodairaType:
         if self.tag == "I*":
             return 6 + self.n
         return _KODAIRA_EULER[self.tag]
-
-    @property
-    def multiplicity_vector(self):
-        if self.tag in _KODAIRA_MULTIPLICITIES:
-            return _KODAIRA_MULTIPLICITIES[self.tag]
-        return None
 
     @property
     def symbol(self) -> str:
@@ -314,7 +300,9 @@ def _minimalize(model: WeierstrassModel) -> WeierstrassModel:
 class FiberEntry:
     """One stratum of singular fibers: place, type, number of fibers."""
 
-    place: object  # Fraction, INFINITY, or the defining polynomial string
+    # a Fraction, INFINITY, or for a stratum of several roots its primitive
+    # integer polynomial (constant term first), not rendered
+    place: object
     kodaira: KodairaType
     count: int = 1
 
@@ -369,25 +357,20 @@ def _classify(model: WeierstrassModel) -> FiberConfiguration:
                 t = kodaira_from_valuations(m2, m3, k)
                 if t is NON_MINIMAL:
                     raise ValueError(
-                        f"model is not minimal along {_render_place(h)}"
+                        f"model is not minimal along {_render(_monic(h))}"
                     )
                 if t.euler_number == 0:
                     continue
                 if len(h) == 2:
                     entries.append(FiberEntry(Fraction(-h[0], h[1]), t, 1))
                 else:
-                    entries.append(FiberEntry(_render_place(h), t, len(h) - 1))
+                    entries.append(FiberEntry(h, t, len(h) - 1))
     return FiberConfiguration(tuple(entries))
 
 
 def _render(coeffs):
     return render(WeightedPolynomial.from_terms(
         _X0_TABLE, {(i,): c for i, c in enumerate(coeffs) if c}))
-
-
-def _render_place(coeffs):
-    """The monic polynomial with the roots of the integer tuple coeffs."""
-    return _render(_monic(coeffs))
 
 
 def is_k3(model: WeierstrassModel) -> bool:

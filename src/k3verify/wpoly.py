@@ -164,11 +164,6 @@ class WeightedPolynomial:
         degrees = {wd(exp) for exp in self.terms}
         return len(degrees) == 1
 
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INFINITY
-        return max(sum(exp) for exp in self.terms)
-
     def degree_in(self, var: str):
         if not self.terms:
             return NEG_INFINITY

@@ -463,3 +463,13 @@ def test_main_exit_codes_in_process():
             assert code == 2, (argv, code, err.getvalue())
 
     check()
+
+
+def test_form_order_cap_is_an_internal_error(monkeypatch, capsys):
+    # the cap bounds an enumeration inside the suite; the input is fine
+    monkeypatch.setattr(lattice, "_MAX_FORM_ORDER", 2)
+    assert main(["lattices"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: OrderTooLargeError: ")
+    assert captured.err.count("\n") == 1

@@ -9,13 +9,28 @@ from k3verify.eliminate import (
     DegreeTooLowError,
     PitConfig,
     discriminant,
-    pit_equal,
     resultant,
     sample_point,
 )
+from k3verify.exactalg import bareiss_det
 from k3verify.wpoly import VariableTable, WeightedPolynomial, _Kernel, parse, render
 
 XT = VariableTable(("a", "b", "x"), (1, 1, 1))
+
+
+def _bareiss_resultant(f, g, var):
+    """Independent oracle: the fraction-free Bareiss determinant of the
+    Sylvester matrix of f and g in ``var``, with the rows of f on top."""
+    a, b = f.univariate_view(var), g.univariate_view(var)
+    m, n = len(a) - 1, len(b) - 1
+    zero = WeightedPolynomial.zero(f.table)
+    rows = []
+    for coeffs, count in ((a, n), (b, m)):
+        for i in range(count):
+            row = [zero] * (m + n)
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    return zero + bareiss_det(rows, WeightedPolynomial.exact_div)
 
 
 def _rand_in_x(rng, max_deg, force_deg=None):
@@ -59,9 +74,7 @@ def test_prs_matches_bareiss():
     for _ in range(80):
         f = _rand_in_x(rng, 4)
         g = _rand_in_x(rng, 4)
-        assert resultant(f, g, "x", method="prs") == resultant(
-            f, g, "x", method="bareiss"
-        )
+        assert resultant(f, g, "x") == _bareiss_resultant(f, g, "x")
 
 
 def test_swap_sign_exhaustive_low_degrees():
@@ -127,7 +140,7 @@ def test_ducos_defective_pairs_match_bareiss(monkeypatch, step):
     for _ in range(30):
         f = _gapped_in_x(rng, step * rng.randint(1, 6 // step), step=step)
         g = _gapped_in_x(rng, step * rng.randint(1, 6 // step), step=step)
-        assert resultant(f, g, "x") == resultant(f, g, "x", method="bareiss")
+        assert resultant(f, g, "x") == _bareiss_resultant(f, g, "x")
     assert gaps and all(gap % step == 0 for gap in gaps)
 
 
@@ -138,16 +151,8 @@ def test_ducos_gapped_rational_pairs_match_bareiss(monkeypatch):
         f = _gapped_in_x(rng, rng.randint(1, 6))
         g = _gapped_in_x(rng, rng.randint(1, 6))
         for a, b in ((f, g), (g, f)):
-            assert resultant(a, b, "x") == resultant(a, b, "x", method="bareiss")
+            assert resultant(a, b, "x") == _bareiss_resultant(a, b, "x")
     assert 1 in gaps and any(gap >= 2 for gap in gaps)
-
-
-def test_resultant_rejects_unknown_method_first():
-    # a constant operand takes a shortcut; the method is checked before it
-    with pytest.raises(ValueError, match="bogus"):
-        resultant(parse("a", XT), parse("x^2 + b", XT), "x", method="bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        resultant(parse("x - a", XT), parse("x^2 + b", XT), "x", method="bogus")
 
 
 def test_disc_r_intermediates_stay_small(monkeypatch):
@@ -213,19 +218,6 @@ def test_discriminant_degree_too_low():
         discriminant(parse("x + a", XT), "x")
 
 
-def test_pit_equal_cases():
-    cfg = PitConfig(trials=20, seed=0)
-    f = parse("a^2 + b", XT)
-    assert pit_equal(f, f, cfg)
-    g = parse("a", XT)
-    h = parse("b", XT)
-    verdict = pit_equal(g, h, cfg)
-    assert not verdict
-    assert verdict.witness_point is not None
-    value = g.evaluate(verdict.witness_point) - h.evaluate(verdict.witness_point)
-    assert value == verdict.witness_value
-
-
 def test_sample_point_deterministic():
     cfg = PitConfig(trials=5, seed=42)
     assert sample_point(cfg, 3, 4) == sample_point(cfg, 3, 4)
@@ -264,6 +256,6 @@ def test_bareiss_resultant_of_a_singular_sylvester_matrix_is_a_polynomial():
     # x^2 and x^3 share the root 0; the elimination runs out of pivots and
     # the int 0 of bareiss_det comes back as the zero polynomial
     f, g = parse("x^2", XT), parse("x^3", XT)
-    res = resultant(f, g, "x", method="bareiss")
+    res = _bareiss_resultant(f, g, "x")
     assert isinstance(res, WeightedPolynomial) and res.is_zero()
     assert resultant(f, g, "x") == res

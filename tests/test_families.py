@@ -4,11 +4,9 @@ import pytest
 
 from k3verify.eliminate import PitConfig
 from k3verify.families import (
-    CdParameterPoint,
     ParameterPoint,
     T_TABLE,
     build_s,
-    build_scd,
     cd_disc_factorization,
     cd_r0_poly,
     cd_specialize_check,
@@ -17,14 +15,12 @@ from k3verify.families import (
     dim_forms,
     dim_forms_bruteforce,
     genericity_certificate,
-    igusa_to_cd,
     IrreducibilityCertificate,
     irreducibility_certificate,
     is_generic_point,
     pit_disc_factorization,
     printed_d90,
     r_poly,
-    s54_square_identity,
     sample_points,
     random_certified_points,
 )
@@ -41,8 +37,6 @@ def _point_by_name(name):
 def test_parameter_point_validation():
     with pytest.raises(ValueError):
         ParameterPoint(0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        CdParameterPoint(0, 0, 0, 0)
     p = ParameterPoint(1, "1/2", 0, 0, 1)
     assert p.t6 == Fraction(1, 2)
 
@@ -90,10 +84,6 @@ def test_delta_t_weight():
     assert delta_t.is_weighted_homogeneous()
 
 
-def test_s54_square_identity():
-    assert s54_square_identity()
-
-
 def test_pit_disc_factorization_small():
     c, used, ok, witness = pit_disc_factorization(PitConfig(trials=12, seed=3))
     assert ok
@@ -126,23 +116,6 @@ def test_cd_specialize_check():
     bad, diff = cd_specialize_check({"t4": "-2*alpha"})
     assert not bad
     assert diff is not None
-
-
-def test_build_scd_shape():
-    model = build_scd(CdParameterPoint(1, 1, 1, 1))
-    assert model.g2 == (0, 0, 0, 0, -3, -1)
-    assert model.g3 == (0, 0, 0, 0, 0, 1, -2, 1)
-
-
-def test_igusa_to_cd_examples():
-    p = igusa_to_cd(0, 9, 0, 1)
-    assert p.alpha == 1
-    assert p.gamma == 8
-    assert p.delta == 0
-    q = igusa_to_cd(3, 0, 0, 1)
-    assert q.gamma == 8
-    assert q.delta == 2
-    assert q.beta == 0
 
 
 def test_dim_forms_examples():

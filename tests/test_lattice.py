@@ -12,7 +12,6 @@ from k3verify.lattice import (
     GramLattice,
     UnknownLatticeError,
     WrongNormError,
-    ZeroVectorError,
     a_cms_lattice,
     a_lattice,
     a_msy_lattice,
@@ -22,7 +21,6 @@ from k3verify.lattice import (
     discriminant_group,
     finite_form_automorphisms,
     finite_forms_isomorphic,
-    is_period_point,
     is_primitive_sublattice,
     k3_lattice,
     kneser_check,
@@ -240,22 +238,6 @@ def test_same_genus():
     assert not same_genus_invariants(a, a_s_lattice())
     comp = orthogonal_complement(k3_lattice(), m_sublattice_basis())
     assert same_genus_invariants(comp, a)
-
-
-def test_is_period_point():
-    a = a_lattice()
-    half = Fraction(1, 2)
-    assert is_period_point(a, [(1, 0), (1, 0), (0, 1), (0, 1), (0, 0), (0, 0)])
-    assert is_period_point(a, [(half, 0), (half, 0), (0, half), (0, half), (0, 0), (0, 0)])
-    assert not is_period_point(a, [(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)])
-    assert not is_period_point(a, [(1, 0), (1, 0), (1, 0), (-1, 0), (0, 0), (0, 0)])
-    with pytest.raises(ZeroVectorError):
-        is_period_point(a, [(0, 0)] * 6)
-    # complex numbers and plain integers are not (re, im) pairs
-    with pytest.raises(ValueError):
-        is_period_point(a, [1, 1, 1j, 1j, 0, 0])
-    with pytest.raises(ValueError):
-        is_period_point(a, [1, 0, 0, 0, 0, 0])
 
 
 def test_json_roundtrip():

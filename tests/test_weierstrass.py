@@ -81,8 +81,6 @@ def test_kodaira_table():
 def test_kodaira_type_invariants():
     two_star = KodairaType("II*")
     assert two_star.euler_number == 10
-    assert two_star.multiplicity_vector == (1, 2, 3, 4, 5, 6, 3, 4, 2)
-    assert sum(two_star.multiplicity_vector) == 30
     assert KodairaType("I", 4).euler_number == 4
     assert KodairaType("I*", 2).euler_number == 8
     assert KodairaType("IV*").euler_number == 8
@@ -432,3 +430,38 @@ def test_classification_never_runs_a_remainder_on_two_multiples_of_x0(monkeypatc
         is_k3(model)
     assert calls
     assert all(a[0] or b[0] for a, b in calls)
+
+
+def test_classification_renders_no_place(monkeypatch):
+    calls = []
+    render = weierstrass.render
+
+    def recording(p):
+        calls.append(p)
+        return render(p)
+
+    monkeypatch.setattr(weierstrass, "render", recording)
+    points = [entry["point"] for entry in sample_points()] + random_certified_points(20)
+    for point in points:
+        fiber_configuration(minimalize_everywhere(build_s(point)))
+    assert calls == []
+
+
+def test_place_of_a_stratum_of_several_roots_is_its_integer_polynomial():
+    config = fiber_configuration(build_s(_points()["generic"]))
+    strata = [e for e in config.fibers if e.place is not INFINITY
+              and not isinstance(e.place, Fraction)]
+    assert strata
+    for entry in strata:
+        assert isinstance(entry.place, tuple)
+        assert all(type(c) is int for c in entry.place)
+        assert len(weierstrass._monic(entry.place)) - 1 == entry.count
+
+
+def test_non_minimal_along_a_stratum_names_its_monic_polynomial():
+    # (2 x0^2 + 3)^4 | g2 and (2 x0^2 + 3)^6 | g3: valuations (4, 6, 12) at
+    # both roots, which are not rational
+    f = (3, 0, 2)
+    model = WeierstrassModel(upoly.power(f, 4), upoly.power(f, 6))
+    with pytest.raises(ValueError, match=r"not minimal along x0\^2 \+ 3/2$"):
+        fiber_configuration(model)
