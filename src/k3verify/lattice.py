@@ -643,15 +643,19 @@ def lattice_to_json(lat: GramLattice) -> str:
     return json.dumps({"label": lat.label, "gram": lat.gram.to_int_rows()})
 
 
-# Largest rank of a lattice read from JSON.  ``lattices --lattice`` grows as
-# about rank^3.3: 0.15 s at rank 64, 1.5 s at 128 (random even Gram matrices).
+# Largest rank of a lattice read from JSON, and the bound on the magnitude of
+# its Gram entries.  ``lattices --lattice`` grows as about rank^3.3: 0.15 s at
+# rank 64, 1.5 s at 128 (random even Gram matrices, small entries).  It grows
+# with the entries too: at rank 64, entries below 2^63 take about 3 s.
 _MAX_JSON_RANK = 64
+_MAX_JSON_ENTRY = 1 << 63
 
 
 def lattice_from_json(text: str) -> GramLattice:
     """Parse ``{"label": str, "gram": [[int, ...], ...]}``; a malformed
-    document, or one of rank above ``_MAX_JSON_RANK``, raises ``ValueError``
-    naming the bad field."""
+    document, one of rank above ``_MAX_JSON_RANK`` or one with an entry of
+    magnitude ``_MAX_JSON_ENTRY`` or more raises ``ValueError`` naming the bad
+    field."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("lattice JSON must be an object")
@@ -666,6 +670,8 @@ def lattice_from_json(text: str) -> GramLattice:
         raise ValueError('"gram" has ragged rows')
     if not all(type(x) is int for row in rows for x in row):
         raise ValueError('"gram" entries must be integers')
+    if any(abs(x) >= _MAX_JSON_ENTRY for row in rows for x in row):
+        raise ValueError('"gram" entries must lie below 2^63 in absolute value')
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ValueError('"label" must be a string')

@@ -8,7 +8,10 @@ broken by descending lexicographic exponent order in declared variable order.
 Multiplication, powers and exact division run on a private integer kernel:
 each operand is converted once into a scale ``Fraction`` times a map from
 packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
-once, so ``Fraction`` arithmetic appears only at these boundaries.
+once, so ``Fraction`` arithmetic appears only at these boundaries.  A large
+product of weighted-homogeneous operands, such as the coefficients of the
+subresultant chain of the weight-180 discriminant, is formed from big-int
+products with one variable packed into each coefficient (``_Kernel.mul``).
 
 Evaluation runs on an integer form that each polynomial builds at most once
 (see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import lshift, or_
+from operator import lshift, mul, or_
 
 # Re-exported, not used here: benchmarks/tracing.py looks factor_mod_p up in
 # this module by name to time it.
@@ -488,6 +491,9 @@ class ContentResult:
 _FIELD_BITS = 16
 _EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
 
+# Kernel products of at least this many term products try the packed path.
+_PACK_MIN = 4096
+
 
 class _Kernel:
     """Integer polynomial arithmetic on packed monomials over one table.
@@ -499,6 +505,21 @@ class _Kernel:
     the limit fits its field, so a product can set a guard bit but never
     carry into the next field.  Products are checked, and one that sets a
     guard bit raises OverflowError instead of wrapping.
+
+    A product of at least ``_PACK_MIN`` term products whose operands are both
+    weighted-homogeneous takes a packed path.  In such an operand one
+    variable u is fixed by the others, e_u = (weight - weight of the rest) /
+    w_u, so u is dropped (the one of widest exponent range in the larger
+    operand), and a second variable v is packed into the coefficients:
+    {outer key: sum of c * 2^(slot * e_v)}.  The outer keys are multiplied
+    pairwise as big ints and every product is read back as balanced base
+    2^slot digits, with e_u restored from the weight of a product, the sum of
+    the operands' weights.  A product coefficient sums at most min(len a,
+    len b) products of magnitude at most max|a| * max|b|, and slot is one bit
+    more than that bound needs, so every digit lies below 2^(slot - 1) in
+    magnitude.  v is the variable leaving the fewest outer keys; when even
+    that does not halve the keys of the larger operand, or an operand is not
+    homogeneous, the schoolbook loop runs, as it does for small products.
     """
 
     __slots__ = ("table", "shifts", "guards")
@@ -570,6 +591,10 @@ class _Kernel:
     def mul(self, a, b):
         if len(a) < len(b):
             a, b = b, a
+        if len(a) * len(b) >= _PACK_MIN:
+            out = self._packed_mul(a, b)
+            if out is not None:
+                return out
         terms = list(a.items())
         out = {}
         for kb, cb in b.items():
@@ -581,6 +606,68 @@ class _Kernel:
                     out[key] = ca * cb
         self._check(reduce(or_, out, 0))
         return {key: c for key, c in out.items() if c}
+
+    def _packed_mul(self, a, b):
+        """a * b for weighted-homogeneous a and b, len(a) >= len(b), as
+        products of big ints; None when the operands do not suit it."""
+        mask, shifts, weights = _EXPONENT_LIMIT - 1, self.shifts, self.table.weights
+        columns, total = [], 0  # total: the weight of every product term
+        for value in (a, b):
+            cols = [[(key >> s) & mask for key in value] for s in shifts]
+            degrees = set(map(lambda *exp: sum(map(mul, weights, exp)), *cols))
+            if len(degrees) != 1:
+                return None
+            columns.append(cols)
+            total += degrees.pop()
+        # each product key lies fieldwise below the sum of the operands'
+        # maxima, so checking that sum is the schoolbook loop's overflow check
+        self._check(sum((max(x) + max(y)) << s for x, y, s in zip(*columns, shifts)))
+        # drop u, whose exponent the weight fixes; pack v, which merges most keys
+        u = max(range(len(shifts)), key=lambda i: max(columns[0][i]) - min(columns[0][i]))
+        outer = {}
+        for v in range(len(shifts)):
+            if v != u:
+                keep = ~((mask << shifts[u]) | (mask << shifts[v]))
+                outer[v] = (len({key & keep for key in a}), keep)
+        v = min(outer, key=outer.get)
+        if 2 * outer[v][0] > len(a):
+            return None
+        keep, sv, su = outer[v][1], shifts[v], shifts[u]
+        slot = (max(map(abs, a.values())) * max(map(abs, b.values())) * len(b)).bit_length() + 1
+
+        def packed(value):
+            out = {}
+            for key, c in value.items():
+                k = key & keep
+                out[k] = out.get(k, 0) + (c << slot * ((key >> sv) & mask))
+            return out
+
+        pa, product = list(packed(a).items()), {}
+        for kb, cb in packed(b).items():
+            for ka, ca in pa:
+                key = ka + kb
+                if key in product:
+                    product[key] += ca * cb
+                else:
+                    product[key] = ca * cb
+        # balanced base-2^slot digits; each coefficient lies below 2^(slot-1)
+        full, digit = 1 << slot, (1 << slot) - 1
+        half = full >> 1
+        wu, wv = weights[u], weights[v]
+        out = {}
+        for key, p in product.items():
+            rest = total - sum(map(mul, weights, [(key >> s) & mask for s in shifts]))
+            e = 0
+            while p:
+                d = p & digit
+                p >>= slot
+                if d & half:
+                    d -= full
+                    p += 1
+                if d:
+                    out[key | e << sv | (rest - wv * e) // wu << su] = d
+                e += 1
+        return out
 
     def pow(self, a, k: int):
         result = self.one()

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -473,3 +474,78 @@ def test_form_order_cap_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: OrderTooLargeError: ")
     assert captured.err.count("\n") == 1
+
+
+def test_fibers_t_with_a_huge_exponent_exits_two_at_once(capsys):
+    start = time.monotonic()
+    assert main(["fibers", "--t", "1e200000,1,1,1,1"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t ")
+
+
+@pytest.mark.parametrize("text", ["1e2000,1,1,1,1", "1,1,1,1,1e-100", "1,1,1,1,0.5e-99",
+                                  "1,1," + "7" * 101 + ",1,1", "1/1" + "0" * 100 + ",1,1,1,1"],
+                         ids=["exponent", "negative-exponent", "decimal",
+                              "numerator", "denominator"])
+def test_fibers_t_beyond_100_digits_exits_two_naming_the_flag(capsys, text):
+    assert main(["fibers", "--t", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t coordinate ")
+    assert "100 digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["1e+,1,1,1,1", "1,1,1,1,2E-", "1,1,.e,1,1"])
+def test_fibers_t_with_an_empty_exponent_exits_two_naming_the_flag(capsys, text):
+    assert main(["fibers", "--t", text]) == 2
+    assert capsys.readouterr().err.startswith("error: --t needs five")
+
+
+def test_fibers_t_with_100_digit_coordinates_classifies(capsys):
+    rng = random.Random(100)
+    text = ",".join(f"{rng.randrange(10 ** 99, 10 ** 100)}/{rng.randrange(10 ** 99, 10 ** 100)}"
+                    for _ in range(5))
+    assert main(["fibers", "--t", text]) == 0
+    assert "fiber configuration" in capsys.readouterr().out
+    # 10^99 and 10^-99 have 100 digits in numerator and denominator
+    assert main(["fibers", "--t", "1e99,-2E-99,000001e+99,1,3/0000" + "1" * 100]) == 0
+
+
+def test_lattices_entries_from_2_63_exit_two_before_any_check(tmp_path, monkeypatch,
+                                                              capsys):
+    path = tmp_path / "big.json"
+    gram = [[2 * 10 ** 999] * 8 for _ in range(8)]  # 1000-digit entries, rank 8
+    path.write_text(json.dumps({"label": "big", "gram": gram}))
+    built_in = []
+    monkeypatch.setattr(lattice, "a_lattice", lambda: built_in.append(1))
+    assert main(["lattices", "--lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert built_in == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert '"gram"' in captured.err
+    with pytest.raises(ValueError, match='"gram"'):
+        lattice.lattice_from_json(json.dumps({"gram": [[-(2 ** 63)]]}))
+    assert lattice.lattice_from_json(json.dumps({"gram": [[2 ** 63 - 2]]})).rank == 1
+
+
+def test_all_reports_suite_runtimes_in_manifest_order(capsys):
+    names = ["d90-check", "disc-factor", "lattices", "fibers", "cd", "irreducible", "dims"]
+    assert main(["all", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["suite", "checks", "seed", "runtime_ms", "constants",
+                            "suite_runtime_ms"]
+    assert list(report["suite_runtime_ms"]) == names
+    assert all(type(ms) is int and ms >= 0 for ms in report["suite_runtime_ms"].values())
+    assert main(["all"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  suite ")]
+    assert [line.split(":")[0] for line in lines] == [f"  suite {name}" for name in names]
+    assert all(line.endswith(" ms") for line in lines)
+    for name in names:  # no single suite reports the map
+        assert main([name, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["suite", "checks", "seed", "runtime_ms", "constants"]

@@ -10,6 +10,7 @@ from k3verify.upoly import (
 )
 from k3verify.wpoly import (
     _EXPONENT_LIMIT,
+    _PACK_MIN,
     NEG_INFINITY,
     NotDivisibleError,
     PolynomialSyntaxError,
@@ -17,6 +18,7 @@ from k3verify.wpoly import (
     UnknownVariableError,
     VariableTable,
     WeightedPolynomial,
+    _Kernel,
     parse,
     render,
 )
@@ -393,3 +395,128 @@ def test_factor_mod_p_errors():
         factor_mod_p([1, 1], 6)
     with pytest.raises(LeadingCoefficientVanishesError):
         factor_mod_p([1, 5], 5)
+
+
+# -- packed kernel products ----------------------------------------------------
+
+W4 = VariableTable(("a", "b", "c", "d"), (2, 3, 5, 7))
+
+
+def _monomials(weights, total):
+    """Every exponent vector of weighted degree ``total``."""
+    if len(weights) == 1:
+        return [(total // weights[0],)] if total % weights[0] == 0 else []
+    return [(e,) + rest for e in range(total // weights[0] + 1)
+            for rest in _monomials(weights[1:], total - e * weights[0])]
+
+
+def _dense(rng, weight):
+    """Every monomial of one weight over W4, coefficients of both signs in
+    [2^64, 2^80)."""
+    return {e: rng.choice((-1, 1)) * rng.randrange(1 << 64, 1 << 80)
+            for e in _monomials(W4.weights, weight)}
+
+
+def _kernel_product(p, q):
+    kernel = _Kernel(W4)
+    _scale, (a, b) = kernel.pack([WeightedPolynomial.from_terms(W4, p),
+                                  WeightedPolynomial.from_terms(W4, q)])
+    return kernel.poly(kernel.mul(a, b)).terms
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """[(len a, len b), returned] for every ``_Kernel._packed_mul`` call:
+    ``returned`` says whether it gave a product, and stays None when the call
+    raised."""
+    calls = []
+    packed = _Kernel._packed_mul
+
+    def recording(self, a, b):
+        call = [(len(a), len(b)), None]
+        calls.append(call)
+        out = packed(self, a, b)
+        call[1] = out is not None
+        return out
+
+    monkeypatch.setattr(_Kernel, "_packed_mul", recording)
+    return calls
+
+
+def test_packed_mul_matches_schoolbook(packed_calls):
+    rng = random.Random(180)
+    cases = [(_dense(rng, wa), _dense(rng, wb))
+             for wa, wb in ((30, 45), (33, 41), (38, 38), (45, 44))]
+    # a product monomial whose contributions cancel exactly: with q[t] = big
+    # and every other q coefficient a multiple of big, p[s] can be chosen so
+    # that the coefficient of s + t is zero
+    p, q, big = _dense(rng, 40), _dense(rng, 42), (1 << 70) + 1
+    s, t = rng.choice(sorted(p)), rng.choice(sorted(q))
+    m = tuple(x + y for x, y in zip(s, t))
+    q = {e: big if e == t else big * c for e, c in q.items()}
+    rest = 0
+    for e, c in q.items():
+        f = tuple(x - y for x, y in zip(m, e))
+        if e != t and f in p:
+            rest += p[f] * c
+    p[s] = -rest // big
+    assert p[s] and m not in _schoolbook_mul(p, q)
+    cases.append((p, q))
+    # the slot bound is tight: every coefficient has magnitude C, and the
+    # 42 divisors of weight 35 of m0 are the whole smaller operand, so the
+    # coefficient of m0 is -C^2 * 42 = -max|a| * max|b| * min(len a, len b)
+    c, m0 = (1 << 70) - 1, (9, 7, 4, 3)
+    small = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 35)
+             if all(x <= y for x, y in zip(e, m0))}
+    large = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 45)}
+    assert _schoolbook_mul(large, small)[m0] == -c * c * len(small) == -c * c * 42
+    cases.append((large, small))
+    for p, q in cases:
+        assert len(p) * len(q) >= _PACK_MIN
+        assert _kernel_product(p, q) == _schoolbook_mul(p, q)
+    assert [returned for _sizes, returned in packed_calls] == [True] * len(cases)
+
+
+def test_non_homogeneous_operands_take_the_schoolbook_loop(packed_calls):
+    rng = random.Random(45)
+    p, q = _dense(rng, 38), _dense(rng, 40)
+    p[(0, 0, 0, 0)] = 1 << 65  # weight 0 among terms of weight 38
+    assert len(p) * len(q) >= _PACK_MIN
+    assert _kernel_product(p, q) == _schoolbook_mul(p, q)
+    assert _kernel_product(q, p) == _schoolbook_mul(p, q)
+    assert [returned for _sizes, returned in packed_calls] == [False, False]
+
+
+def test_packed_mul_overflow_raises(packed_calls):
+    xy = VariableTable(("x", "y"), (1, 1))
+    top = _EXPONENT_LIMIT - 10
+    line = {(i, top - i): i + 1 for i in range(70)}  # homogeneous, 70 terms
+    p = WeightedPolynomial.from_terms(xy, line)
+    with pytest.raises(OverflowError):
+        p * p
+    assert packed_calls == [[(70, 70), None]]  # entered, then raised
+    packed_calls.clear()
+    # the same product through the schoolbook loop raises too
+    q = WeightedPolynomial.from_terms(xy, {**line, (0, 0): 1})
+    with pytest.raises(OverflowError):
+        q * q
+    assert packed_calls == [[(71, 71), False]]
+
+
+def test_disc_r_takes_the_packed_path_and_factors(packed_calls, monkeypatch):
+    from k3verify import families
+    from k3verify.eliminate import discriminant
+
+    sizes = []
+    mul = _Kernel.mul
+
+    def sized_mul(self, a, b):
+        sizes.append(len(a) * len(b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_Kernel, "mul", sized_mul)
+    disc = discriminant(families.big_r_symbolic(), "x0").change_table(families.T_TABLE)
+    packed = sorted((x * y for (x, y), returned in packed_calls if returned), reverse=True)
+    assert packed[:6] == sorted(sizes, reverse=True)[:6]  # 302 x 302 down to 117 x 99
+    r = families.r_poly().change_table(families.T_TABLE)
+    assert disc == 6 ** 12 * r ** 3 * families.printed_d90()
