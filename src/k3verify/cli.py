@@ -255,12 +255,16 @@ def _parse_t(text: str) -> families.ParameterPoint:
         if _too_long(part):
             raise ValueError(f"--t coordinate {k} has a numerator or denominator "
                              f"of more than {_MAX_T_DIGITS} digits")
-    try:
-        parts = [Fraction(p) for p in texts]
-    except (ValueError, ZeroDivisionError):
-        parts = None
-    if parts is None or len(parts) != 5:
-        raise ValueError(f"--t needs five comma-separated rationals, got {text!r}")
+    parts = []
+    for part in texts:
+        try:
+            parts.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            break
+    if len(texts) != 5 or len(parts) != 5:
+        # name the fields, not the text, which may be of any length
+        bad = f"; coordinate {len(parts) + 1} is not a rational" if len(parts) < len(texts) else ""
+        raise ValueError(f"--t needs five comma-separated rationals, got {len(texts)} fields{bad}")
     return families.ParameterPoint(*parts)
 
 

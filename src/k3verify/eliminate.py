@@ -9,6 +9,11 @@ one pseudo-remainder, then each subresultant from the previous two by Ducos'
 reduction, which divides exactly as it goes instead of forming the full
 pseudo-remainder, and each power quotient x^n / y^(n-1) by Lazard's
 square-and-divide.
+
+Every division of the chain divides a sum of products, handed to the kernel
+as pairs (``_Kernel.dot_div``): large weighted-homogeneous ones, as in disc(R),
+are summed and divided as packed big ints, and a quotient is kept only when
+two coefficient bounds prove it exact (see ``wpoly._Kernel``).
 """
 from __future__ import annotations
 
@@ -135,7 +140,7 @@ def _resultant_ducos(a, b):
         z = q
         if delta > 1:
             lift = _lazard(q[-1], s, delta - 1, kernel)
-            z = [kernel.exact_div(kernel.mul(c, lift), s) for c in q]
+            z = [kernel.dot_div([(c, lift)], s) for c in q]
         if (len(p) - 1) % 2 == 1 and (len(q) - 1) % 2 == 1:
             scale = -scale
         p, q = z, _trim(_ducos_reduction(p, q, z, s, kernel))
@@ -152,12 +157,12 @@ def _lazard(x, y, n, kernel):
     coefficients of consecutive subresultants, so x^n and y^(n-1) are never
     formed.
     """
-    mul, exact_div = kernel.mul, kernel.exact_div
+    dot_div = kernel.dot_div
     c = x
     for bit in bin(n)[3:]:
-        c = exact_div(mul(c, c), y)
+        c = dot_div([(c, c)], y)
         if bit == "1":
-            c = exact_div(mul(c, x), y)
+            c = dot_div([(c, x)], y)
     return c
 
 
@@ -170,35 +175,32 @@ def _ducos_reduction(p, q, z, s, kernel):
     Ducos (JPAA 145, 2000): h_j = lc(z) x^j mod q has degree below e and
     h_(j+1) = x h_j - [x^(e-1)]h_j * q / lc(q); then
     sum_j p_j h_j / lc(p) reduces lc(z) * p / lc(p) mod q, and one more step
-    times lc(q) over s gives the result.  Every division is exact.
+    times lc(q) over s gives the result.  Every division is exact, and each
+    divides the products summed into one coefficient in a single ``dot_div``.
     """
-    mul, add, sub, exact_div = kernel.mul, kernel.add, kernel.sub, kernel.exact_div
+    add, sub, dot_div = kernel.add, kernel.sub, kernel.dot_div
     d, e = len(p) - 1, len(q) - 1
     lq, tail = q[-1], q[:-1]
-
-    def scaled(poly, c):
-        return [mul(x, c) for x in poly]
 
     def times_x(h):
         # x * h reduced mod q; h has the e coefficients of x^0 .. x^(e-1)
         top, h = h[-1], [{}] + h[:-1]
         if not top:
             return h
-        return [sub(x, exact_div(mul(top, t), lq)) for x, t in zip(h, tail)]
+        return [sub(x, dot_div([(top, t)], lq)) for x, t in zip(h, tail)]
 
     h = [{key: -c for key, c in x.items()} for x in z[:-1]]
-    acc = scaled(p[:e], z[-1])
+    sums = [[(x, z[-1])] for x in p[:e]]  # the products summed into each coefficient
     for j in range(e, d):
         if j > e:
             h = times_x(h)
         if p[j]:
-            acc = [add(x, y) for x, y in zip(acc, scaled(h, p[j]))]
-    acc = [exact_div(x, p[-1]) for x in acc]
+            for products, x in zip(sums, h):
+                products.append((x, p[j]))
+    acc = [dot_div(products, p[-1]) for products in sums]
     top, h = h[-1], [{}] + h[:-1]
-    out = [mul(add(x, y), lq) for x, y in zip(h, acc)]
-    if top:
-        out = [sub(x, mul(top, t)) for x, t in zip(out, tail)]
-    return [exact_div(x, s) for x in out]
+    top = {key: -c for key, c in top.items()}
+    return [dot_div([(add(x, y), lq), (top, t)], s) for x, y, t in zip(h, acc, tail)]
 
 
 def discriminant(f: WeightedPolynomial, var: str) -> WeightedPolynomial:

@@ -11,7 +11,8 @@ packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
 once, so ``Fraction`` arithmetic appears only at these boundaries.  A large
 product of weighted-homogeneous operands, such as the coefficients of the
 subresultant chain of the weight-180 discriminant, is formed from big-int
-products with one variable packed into each coefficient (``_Kernel.mul``).
+products with one variable packed into each coefficient (``_Kernel.mul``),
+and so is a sum of such products divided exactly (``_Kernel.dot_div``).
 
 Evaluation runs on an integer form that each polynomial builds at most once
 (see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
@@ -491,7 +492,7 @@ class ContentResult:
 _FIELD_BITS = 16
 _EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
 
-# Kernel products of at least this many term products try the packed path.
+# Products, and sums of products, of at least this many term products pack.
 _PACK_MIN = 4096
 
 
@@ -506,20 +507,28 @@ class _Kernel:
     carry into the next field.  Products are checked, and one that sets a
     guard bit raises OverflowError instead of wrapping.
 
-    A product of at least ``_PACK_MIN`` term products whose operands are both
-    weighted-homogeneous takes a packed path.  In such an operand one
-    variable u is fixed by the others, e_u = (weight - weight of the rest) /
-    w_u, so u is dropped (the one of widest exponent range in the larger
-    operand), and a second variable v is packed into the coefficients:
+    ``mul`` forms a * b, and ``dot_div`` the exact quotient N / d of
+    N = a_1 b_1 + ... + a_k b_k.  Either packs when it has at least
+    ``_PACK_MIN`` term products and every operand is weighted-homogeneous,
+    all a_i b_i of one weight.  Then one variable u is fixed by the others,
+    e_u = (weight - weight of the rest) / w_u, so u is dropped (the one of
+    widest exponent range in the largest operand), and a second variable v,
+    the one leaving the fewest outer keys, is packed into the coefficients:
     {outer key: sum of c * 2^(slot * e_v)}.  The outer keys are multiplied
-    pairwise as big ints and every product is read back as balanced base
-    2^slot digits, with e_u restored from the weight of a product, the sum of
-    the operands' weights.  A product coefficient sums at most min(len a,
-    len b) products of magnitude at most max|a| * max|b|, and slot is one bit
-    more than that bound needs, so every digit lies below 2^(slot - 1) in
-    magnitude.  v is the variable leaving the fewest outer keys; when even
-    that does not halve the keys of the larger operand, or an operand is not
-    homogeneous, the schoolbook loop runs, as it does for small products.
+    pairwise as big ints and summed, divided by the packed d in the heap loop
+    of ``exact_div``, and read back as balanced base 2^slot digits, with e_u
+    restored from the weight.
+
+    Two bounds make this exact.  A coefficient of a_i b_i sums at most
+    min(len a_i, len b_i) products of magnitude at most max|a_i| * max|b_i|,
+    and slot is one more than the bit length of the sum of these bounds, so
+    every coefficient of N lies below 2^(slot - 1).  A quotient q is kept only if
+    max|q| * max|d| * min(len q, len d) < 2^(slot - 1) too: then under every
+    outer key q d and N are polynomials in v with coefficients below
+    2^(slot - 1) and equal at v = 2^slot, so q d = N, and no product is
+    formed to check it.  Otherwise, and when v does not halve the keys of the
+    largest operand, an operand is not homogeneous, or the packed division
+    leaves a remainder, the schoolbook loop and the plain division run.
     """
 
     __slots__ = ("table", "shifts", "guards")
@@ -610,20 +619,45 @@ class _Kernel:
     def _packed_mul(self, a, b):
         """a * b for weighted-homogeneous a and b, len(a) >= len(b), as
         products of big ints; None when the operands do not suit it."""
+        return self._packed([(a, b)])
+
+    def dot_div(self, pairs, d):
+        """The exact quotient (sum of a * b over ``pairs``) / d; raises
+        NotDivisibleError with the remainder ``exact_div`` gives otherwise."""
+        pairs = [(a, b) for a, b in pairs if a and b]
+        if d and sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN:
+            out = self._packed(pairs, d)
+            if out is not None:
+                return out
+        return self.exact_div(reduce(self.add, [self.mul(a, b) for a, b in pairs], {}), d)
+
+    def _packed(self, pairs, d=None):
+        """The sum of a * b over ``pairs``, divided by d unless d is None, as
+        big ints (see the class docstring); None when the operands or the
+        quotient do not suit it."""
         mask, shifts, weights = _EXPONENT_LIMIT - 1, self.shifts, self.table.weights
-        columns, total = [], 0  # total: the weight of every product term
-        for value in (a, b):
+        operands = [x for pair in pairs for x in pair]
+        graded = []  # (exponent columns, weight) of each operand, then of d
+        for value in operands + ([d] if d else []):
             cols = [[(key >> s) & mask for key in value] for s in shifts]
             degrees = set(map(lambda *exp: sum(map(mul, weights, exp)), *cols))
             if len(degrees) != 1:
                 return None
-            columns.append(cols)
-            total += degrees.pop()
+            graded.append((cols, degrees.pop()))
+        # zip stops before d, which sits at an even index
+        pair_grades = list(zip(graded[0::2], graded[1::2]))
+        totals = {x[1] + y[1] for x, y in pair_grades}
+        if len(totals) != 1:
+            return None
+        total = totals.pop() - (graded[-1][1] if d else 0)  # weight of every output term
         # each product key lies fieldwise below the sum of the operands'
         # maxima, so checking that sum is the schoolbook loop's overflow check
-        self._check(sum((max(x) + max(y)) << s for x, y, s in zip(*columns, shifts)))
+        for (x, _), (y, _) in pair_grades:
+            self._check(sum((max(i) + max(j)) << s for i, j, s in zip(x, y, shifts)))
         # drop u, whose exponent the weight fixes; pack v, which merges most keys
-        u = max(range(len(shifts)), key=lambda i: max(columns[0][i]) - min(columns[0][i]))
+        largest = max(range(len(operands)), key=lambda i: len(operands[i]))
+        a, cols = operands[largest], graded[largest][0]
+        u = max(range(len(shifts)), key=lambda i: max(cols[i]) - min(cols[i]))
         outer = {}
         for v in range(len(shifts)):
             if v != u:
@@ -633,7 +667,8 @@ class _Kernel:
         if 2 * outer[v][0] > len(a):
             return None
         keep, sv, su = outer[v][1], shifts[v], shifts[u]
-        slot = (max(map(abs, a.values())) * max(map(abs, b.values())) * len(b)).bit_length() + 1
+        slot = sum(max(map(abs, x.values())) * max(map(abs, y.values())) * min(len(x), len(y))
+                   for x, y in pairs).bit_length() + 1
 
         def packed(value):
             out = {}
@@ -642,32 +677,48 @@ class _Kernel:
                 out[k] = out.get(k, 0) + (c << slot * ((key >> sv) & mask))
             return out
 
-        pa, product = list(packed(a).items()), {}
-        for kb, cb in packed(b).items():
-            for ka, ca in pa:
-                key = ka + kb
-                if key in product:
-                    product[key] += ca * cb
-                else:
-                    product[key] = ca * cb
-        # balanced base-2^slot digits; each coefficient lies below 2^(slot-1)
+        terms = {}
+        for x, y in pairs:
+            px = list(packed(x).items())
+            for ky, cy in packed(y).items():
+                for kx, cx in px:
+                    key = kx + ky
+                    if key in terms:
+                        terms[key] += cx * cy
+                    else:
+                        terms[key] = cx * cy
+        terms = terms.items()
+        if d:
+            try:
+                terms, exact = self._divide(sorted(terms, reverse=True), packed(d))
+            except OverflowError:  # only a division that is not exact gets here
+                return None
+            if not exact:
+                return None
+        # balanced base-2^slot digits
         full, digit = 1 << slot, (1 << slot) - 1
         half = full >> 1
         wu, wv = weights[u], weights[v]
-        out = {}
-        for key, p in product.items():
+        out = []
+        for key, p in terms:
             rest = total - sum(map(mul, weights, [(key >> s) & mask for s in shifts]))
             e = 0
             while p:
-                d = p & digit
+                c = p & digit
                 p >>= slot
-                if d & half:
-                    d -= full
+                if c & half:
+                    c -= full
                     p += 1
-                if d:
-                    out[key | e << sv | (rest - wv * e) // wu << su] = d
+                if c:
+                    eu, r = divmod(rest - wv * e, wu)
+                    if r or eu < 0:
+                        return None
+                    out.append((key | e << sv | eu << su, c))
                 e += 1
-        return out
+        if d and out and (max(abs(c) for _, c in out) * max(map(abs, d.values()))
+                          * min(len(out), len(d))).bit_length() >= slot:
+            return None
+        return dict(out)
 
     def pow(self, a, k: int):
         result = self.one()
@@ -680,7 +731,19 @@ class _Kernel:
         return result
 
     def exact_div(self, a, b):
-        """Quotient a / b over Z; raises NotDivisibleError otherwise.
+        """Quotient a / b over Z; raises NotDivisibleError otherwise."""
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        quotient, exact = self._divide(sorted(a.items(), reverse=True), b)
+        if not exact:
+            remainder = self.sub(a, self.mul(dict(quotient), b))
+            raise NotDivisibleError(self.poly(remainder))
+        return dict(quotient)
+
+    def _divide(self, dividend, b):
+        """(quotient terms, True) for the descending term list ``dividend``
+        over b, or (the terms so far, False) at the first term that the
+        leading term of b does not divide.
 
         Division driven by a max-heap of monomials (Monagan and Pearce, J.
         Symb. Comput. 46, 2011): the quotient comes out in descending key
@@ -689,9 +752,6 @@ class _Kernel:
         key enters the heap once, since every new product lies below the key
         just cancelled.
         """
-        if not b:
-            raise ZeroDivisionError("division by zero polynomial")
-        dividend = sorted(a.items(), reverse=True)
         (lead_key, lead_c), *tail = sorted(b.items(), reverse=True)
         guards = self.guards
         # fieldwise maximum of the divisor's exponents: q * b overflows some
@@ -716,10 +776,10 @@ class _Kernel:
             # with every guard bit set no field borrows; a guard bit that is
             # cleared marks a divisor exponent above the remainder's
             shifted = (key | guards) - lead_key
-            if shifted & guards != guards or c % lead_c:
-                remainder = self.sub(a, self.mul(dict(quotient), b))
-                raise NotDivisibleError(self.poly(remainder))
-            q_key, q_c = shifted ^ guards, c // lead_c
+            q_c, r = divmod(c, lead_c)
+            if shifted & guards != guards or r:
+                return quotient, False
+            q_key = shifted ^ guards
             quotient.append((q_key, q_c))
             self._check(q_key + reach)
             for t_key, t_c in tail:
@@ -729,7 +789,7 @@ class _Kernel:
                 else:
                     owed[k] = q_c * t_c
                     heappush(heap, -k)
-        return dict(quotient)
+        return quotient, True
 
 
 # -- text format ------------------------------------------------------------

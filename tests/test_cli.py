@@ -532,6 +532,30 @@ def test_lattices_entries_from_2_63_exit_two_before_any_check(tmp_path, monkeypa
     assert lattice.lattice_from_json(json.dumps({"gram": [[2 ** 63 - 2]]})).rank == 1
 
 
+def test_lattices_entry_past_the_int_digit_limit_exits_two_naming_gram(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"gram": [[' + "7" * 5000 + "]]}")  # past int()'s 4,300 digits
+    assert main(["lattices", "--lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert '"gram"' in captured.err and "2^63" in captured.err
+    with pytest.raises(ValueError, match='"gram"'):
+        lattice.lattice_from_json('{"gram": [[-' + "7" * 5000 + "]]}")
+    assert lattice.lattice_from_json('{"gram": [[-' + "8" * 19 + "]]}").rank == 1
+
+
+@pytest.mark.parametrize("text", ["x" * 20000 + ",1,1,1,1", "1," * 10000 + "1",
+                                  "1,1,1," + "1/" * 10000 + "1,1"],
+                         ids=["long-coordinate", "many-fields", "long-fraction"])
+def test_fibers_malformed_long_t_gives_a_short_error(capsys, text):
+    assert main(["fibers", "--t", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t needs five comma-separated rationals")
+    assert len(captured.err) < 200
+
+
 def test_all_reports_suite_runtimes_in_manifest_order(capsys):
     names = ["d90-check", "disc-factor", "lattices", "fibers", "cd", "irreducible", "dims"]
     assert main(["all", "--json"]) == 0

@@ -162,7 +162,7 @@ def test_disc_r_intermediates_stay_small(monkeypatch):
 
     big_r = big_r_symbolic()
     sizes = []
-    mul, exact_div = _Kernel.mul, _Kernel.exact_div
+    mul, exact_div, dot_div = _Kernel.mul, _Kernel.exact_div, _Kernel.dot_div
 
     def sized_mul(self, a, b):
         out = mul(self, a, b)
@@ -173,8 +173,24 @@ def test_disc_r_intermediates_stay_small(monkeypatch):
         sizes.append(len(a))
         return exact_div(self, a, b)
 
+    def sized_dot_div(self, pairs, d):
+        # a fused call forms its products without ``mul``: count each product
+        # and the dividend, their sum, here
+        total = {}
+        for a, b in pairs:
+            product = {}
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    product[ka + kb] = product.get(ka + kb, 0) + ca * cb
+            sizes.append(sum(1 for c in product.values() if c))
+            for key, c in product.items():
+                total[key] = total.get(key, 0) + c
+        sizes.append(sum(1 for c in total.values() if c))
+        return dot_div(self, pairs, d)
+
     monkeypatch.setattr(_Kernel, "mul", sized_mul)
     monkeypatch.setattr(_Kernel, "exact_div", sized_div)
+    monkeypatch.setattr(_Kernel, "dot_div", sized_dot_div)
     disc = discriminant(big_r, "x0")
     assert disc.term_count() == 616
     assert sizes and max(sizes) <= 4000

@@ -503,20 +503,236 @@ def test_packed_mul_overflow_raises(packed_calls):
     assert packed_calls == [[(71, 71), False]]
 
 
-def test_disc_r_takes_the_packed_path_and_factors(packed_calls, monkeypatch):
+# -- packed exact division -----------------------------------------------------
+
+
+@pytest.fixture
+def packed_divisions(monkeypatch):
+    """[term products, returned] for every ``_Kernel._packed`` call with a
+    divisor: ``returned`` says whether it gave a quotient, and stays None when
+    the call raised."""
+    calls = []
+    packed = _Kernel._packed
+
+    def recording(self, pairs, d=None):
+        call = [sum(len(a) * len(b) for a, b in pairs), None]
+        if d is not None:
+            calls.append(call)
+        out = packed(self, pairs, d)
+        call[1] = out is not None
+        return out
+
+    monkeypatch.setattr(_Kernel, "_packed", recording)
+    return calls
+
+
+def _kernel_values(table, *maps):
+    kernel = _Kernel(table)
+    _scale, values = kernel.pack([WeightedPolynomial.from_terms(table, m) for m in maps])
+    return kernel, values
+
+
+def _kernel_dot_div(table, pairs, d):
+    """``dot_div`` on exponent maps, read back as one."""
+    kernel, (*operands, divisor) = _kernel_values(table, *(x for pair in pairs for x in pair), d)
+    return kernel.poly(kernel.dot_div(list(zip(operands[0::2], operands[1::2])), divisor)).terms
+
+
+def _heap_division(table, dividend, d):
+    """The plain heap division of an exponent map by d, read back as one."""
+    kernel, (a, b) = _kernel_values(table, dividend, d)
+    return kernel.poly(kernel.exact_div(a, b)).terms
+
+
+def _schoolbook_dot(pairs):
+    out = {}
+    for a, b in pairs:
+        out = _schoolbook_add(out, _schoolbook_mul(a, b))
+    return out
+
+
+def _negated(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _divisible_pairs(rng, k, wa, wb, wd):
+    """(pairs, d, q): k pairs of dense operands over W4 of weights wa and wb
+    whose products sum to d * q.  For k >= 2 no operand is a multiple of d:
+    A (D + dZ) + (dY - A) D = d (AZ + YD), and a third pair U (dV) adds UV."""
+    d, a, b = _dense(rng, wd), _dense(rng, wa), _dense(rng, wb)
+    z, y = _dense(rng, wb - wd), _dense(rng, wa - wd)
+    if k == 1:
+        return [(a, _schoolbook_mul(d, z))], d, _schoolbook_mul(a, z)
+    pairs = [(a, _schoolbook_add(b, _schoolbook_mul(d, z))),
+             (_schoolbook_add(_schoolbook_mul(d, y), _negated(a)), b)]
+    q = _schoolbook_add(_schoolbook_mul(a, z), _schoolbook_mul(y, b))
+    if k == 3:
+        u, v = _dense(rng, wa), _dense(rng, wb - wd)
+        pairs.append((u, _schoolbook_mul(d, v)))
+        q = _schoolbook_add(q, _schoolbook_mul(u, v))
+    return pairs, d, q
+
+
+def test_dot_div_matches_schoolbook_then_heap_division(packed_divisions):
+    rng = random.Random(90)
+    cases = [_divisible_pairs(rng, k, wa, wb, wd)
+             for k, wa, wb, wd in ((1, 36, 40, 12), (2, 30, 38, 10), (3, 28, 36, 14), (2, 33, 41, 17))]
+    # the slot bound is tight and the quotient bound just met: the tight
+    # product of test_packed_mul_matches_schoolbook over 1
+    c, m0 = (1 << 70) - 1, (9, 7, 4, 3)
+    small = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 35)
+             if all(x <= y for x, y in zip(e, m0))}
+    large = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 45)}
+    cases.append(([(large, small)], {(0, 0, 0, 0): 1}, _schoolbook_mul(large, small)))
+    for pairs, d, q in cases:
+        assert sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN
+        assert _kernel_dot_div(W4, pairs, d) == q == _heap_division(W4, _schoolbook_dot(pairs), d)
+    assert [returned for _n, returned in packed_divisions] == [True] * len(cases)
+
+
+# P = m^6 - n^6 and d = (m - n)^2 for m = a^3 and n = b^2, both of weight 6,
+# so P^2 = d T with T = (m^5 + m^4 n + ... + n^5)^2, whose coefficients rise
+# 1, 2, ..., 6 and fall again.  For F with every coefficient in [2^64, 2^64 +
+# 2^60) the quotient F T of F P^2 by d has a coefficient of at least 6 min F,
+# where F P^2 has none above 4 max F.
+_P = {(18, 0, 0, 0): 1, (0, 12, 0, 0): -1}
+_D = {(6, 0, 0, 0): 1, (3, 2, 0, 0): -2, (0, 4, 0, 0): 1}
+_S = {(3 * (5 - i), 2 * i, 0, 0): 1 for i in range(6)}
+
+
+def _near_2_64(rng, weight):
+    return {e: rng.randrange(1 << 64, (1 << 64) + (1 << 60))
+            for e in _monomials(W4.weights, weight)}
+
+
+def _max_abs(a):
+    return max(map(abs, a.values()))
+
+
+def test_dot_div_quotient_above_every_dividend_coefficient(packed_divisions):
+    rng = random.Random(6)
+    f, y = _near_2_64(rng, 52), _dense(rng, 76)
+    q = _schoolbook_mul(f, _schoolbook_mul(_S, _S))
+    dividend = _schoolbook_mul(f, _schoolbook_mul(_P, _P))
+    assert _max_abs(q) > _max_abs(dividend)
+    # (F P + d Y) P - Y (d P) = F P^2, from operands large enough that the
+    # slot also fits the quotient
+    pairs = [(_schoolbook_add(_schoolbook_mul(f, _P), _schoolbook_mul(_D, y)), _P),
+             (_negated(y), _schoolbook_mul(_D, _P))]
+    assert _schoolbook_dot(pairs) == dividend
+    assert sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN
+    assert _kernel_dot_div(W4, pairs, _D) == q == _heap_division(W4, dividend, _D)
+    assert [returned for _n, returned in packed_divisions] == [True]
+
+
+def test_dot_div_falls_back_when_the_quotient_does_not_fit(packed_divisions):
+    # as one product F * P^2 the slot fits about 6 max F, below the quotient
+    # F T, so the packed digits of F T carry into their neighbours.  Over
+    # weights (1, 1, 1) a carried digit still sits on a monomial of the right
+    # weight, and only the quotient bound rejects it
+    xyz = VariableTable(("x", "y", "z"), (1, 1, 1))
+    rng = random.Random(51)
+    p, d, s = ({(e[0] // 3, e[1] // 2, 0): c for e, c in m.items()} for m in (_P, _D, _S))
+    f = {(i, j, 51 - i - j): rng.randrange(1 << 64, (1 << 64) + (1 << 60))
+         for i in range(52) for j in range(52 - i)}
+    cases = [(xyz, f, p, d, s)]
+    # over W4 the dropped variable a has weight 2 and the packed one an odd
+    # weight, so a carried digit would need a fractional exponent of a and
+    # the weight restore rejects it first
+    cases.append((W4, _near_2_64(rng, 116), _P, _D, _S))
+    for table, f, p, d, s in cases:
+        pairs = [(f, _schoolbook_mul(p, p))]
+        assert sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN
+        assert _kernel_dot_div(table, pairs, d) == _schoolbook_mul(f, _schoolbook_mul(s, s))
+    assert [returned for _n, returned in packed_divisions] == [False, False]
+
+
+def test_dot_div_not_exact_raises_the_heap_division_remainder(packed_divisions):
+    rng = random.Random(38)
+    pairs, d, _q = _divisible_pairs(rng, 2, 30, 38, 10)
+    pairs.append((_dense(rng, 30), _dense(rng, 38)))
+    kernel, values = _kernel_values(W4, *(x for pair in pairs for x in pair), d)
+    *operands, divisor = values
+    pairs = list(zip(operands[0::2], operands[1::2]))
+    with pytest.raises(NotDivisibleError) as got:
+        kernel.dot_div(pairs, divisor)
+    dividend = {}
+    for a, b in pairs:
+        dividend = kernel.add(dividend, kernel.mul(a, b))
+    with pytest.raises(NotDivisibleError) as want:
+        kernel.exact_div(dividend, divisor)
+    assert not want.value.remainder.is_zero()
+    assert got.value.remainder == want.value.remainder
+    assert [returned for _n, returned in packed_divisions] == [False]
+
+
+def test_dot_div_non_homogeneous_operands_take_the_plain_path(packed_divisions):
+    rng = random.Random(12)
+    d, a, z = _dense(rng, 12), _dense(rng, 36), _dense(rng, 28)
+    a[(0, 0, 0, 0)] = 1 << 65  # weight 0 among terms of weight 36
+    pairs = [(a, _schoolbook_mul(d, z))]
+    assert sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN
+    assert _kernel_dot_div(W4, pairs, d) == _schoolbook_mul(a, z)
+    # a divisor that is not homogeneous
+    e = {**d, (0, 0, 0, 0): 1}
+    a.pop((0, 0, 0, 0))
+    pairs = [(a, _schoolbook_mul(e, z))]
+    assert _kernel_dot_div(W4, pairs, e) == _schoolbook_mul(a, z)
+    assert [returned for _n, returned in packed_divisions] == [False, False]
+
+
+def test_dot_div_overflow_raises_on_both_paths(packed_divisions):
+    xy = VariableTable(("x", "y"), (1, 1))
+    top = _EXPONENT_LIMIT - 10
+    line = {(i, top - i): i + 1 for i in range(70)}  # homogeneous, 70 terms
+    kernel, (a, b, x) = _kernel_values(xy, line, {**line, (0, 0): 1}, {(1, 0): 1})
+    with pytest.raises(OverflowError):
+        kernel.dot_div([(a, a)], x)
+    assert packed_divisions == [[70 * 70, None]]  # entered, then raised
+    packed_divisions.clear()
+    # the same product, not homogeneous, raises on the plain path
+    with pytest.raises(OverflowError):
+        kernel.dot_div([(b, b)], x)
+    assert packed_divisions == [[71 * 71, False]]
+
+
+def test_disc_r_takes_the_packed_path_and_factors(monkeypatch):
     from k3verify import families
     from k3verify.eliminate import discriminant
 
-    sizes = []
-    mul = _Kernel.mul
+    sizes, packed, divided = [], [], []
+    mul, dot_div, packed_path = _Kernel.mul, _Kernel.dot_div, _Kernel._packed
 
     def sized_mul(self, a, b):
         sizes.append(len(a) * len(b))
         return mul(self, a, b)
 
+    def sized_dot_div(self, pairs, d):
+        sizes.extend(len(a) * len(b) for a, b in pairs if a and b)
+        return dot_div(self, pairs, d)
+
+    def recording(self, pairs, d=None):
+        # every packed product, from ``mul`` or ``dot_div``; with a divisor a
+        # returned quotient met its bound, and the dividend's terms are
+        # counted here
+        out = packed_path(self, pairs, d)
+        if out is not None:
+            packed.extend(len(a) * len(b) for a, b in pairs)
+            if d is not None:
+                dividend = {}
+                for a, b in pairs:
+                    for ka, ca in a.items():
+                        for kb, cb in b.items():
+                            dividend[ka + kb] = dividend.get(ka + kb, 0) + ca * cb
+                divided.append(sum(1 for c in dividend.values() if c))
+        return out
+
     monkeypatch.setattr(_Kernel, "mul", sized_mul)
+    monkeypatch.setattr(_Kernel, "dot_div", sized_dot_div)
+    monkeypatch.setattr(_Kernel, "_packed", recording)
     disc = discriminant(families.big_r_symbolic(), "x0").change_table(families.T_TABLE)
-    packed = sorted((x * y for (x, y), returned in packed_calls if returned), reverse=True)
-    assert packed[:6] == sorted(sizes, reverse=True)[:6]  # 302 x 302 down to 117 x 99
+    largest = [302 * 302, 321 * 277, 302 * 109, 321 * 93, 109 * 109, 117 * 99]
+    assert sorted(sizes, reverse=True)[:6] == sorted(packed, reverse=True)[:6] == largest
+    assert {3264, 1854} <= set(divided)
     r = families.r_poly().change_table(families.T_TABLE)
     assert disc == 6 ** 12 * r ** 3 * families.printed_d90()
