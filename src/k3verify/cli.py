@@ -184,13 +184,12 @@ def run_lattices(args) -> CheckReport:
     a = lattice.a_lattice()
     big_l = lattice.k3_lattice()
     m = lattice.m_lattice()
-    report.check("signature(A) = (2,4)", lattice.signature(a) == (2, 4),
-                 lattice.signature(a))
-    report.check("signature(L) = (3,19)", lattice.signature(big_l) == (3, 19),
-                 lattice.signature(big_l))
-    report.check("signature(M) = (1,15)", lattice.signature(m) == (1, 15),
-                 lattice.signature(m))
-    report.check("|det M| = 3", abs(m.det()) == 3, f"det M = {m.det()}")
+    sig_a, sig_l, sig_m = (lattice.signature(x) for x in (a, big_l, m))
+    det_m = m.det()
+    report.check("signature(A) = (2,4)", sig_a == (2, 4), sig_a)
+    report.check("signature(L) = (3,19)", sig_l == (3, 19), sig_l)
+    report.check("signature(M) = (1,15)", sig_m == (1, 15), sig_m)
+    report.check("|det M| = 3", abs(det_m) == 3, f"det M = {det_m}")
     q_a = lattice.discriminant_group(a)
     report.check("A-dual/A is cyclic of order 3",
                  q_a.generator_orders == (3,), q_a.generator_orders)
@@ -396,6 +395,7 @@ def run_all(args) -> CheckReport:
 # The brute-force cross-check of ``dims`` grows as about k^4: weight 400
 # takes about a second, weight 800 about half a minute.
 _MAX_WEIGHT_LIMIT = 400
+_DEFAULT_MAX_WEIGHT = 60  # the table of ``dims`` and of ``all``
 
 
 # A PIT trial of disc-factor --pit takes about 0.16 ms with Python 3.11 on a
@@ -471,14 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", parents=[common],
                        help="modular-form dimension table")
-    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=60,
-                   help=f"top weight of the table, 0 to {_MAX_WEIGHT_LIMIT} (default 60)")
+    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT),
+                   default=_DEFAULT_MAX_WEIGHT,
+                   help=f"top weight of the table, 0 to {_MAX_WEIGHT_LIMIT} (default %(default)s)")
     p.set_defaults(runner=run_dims)
 
     p = sub.add_parser("all", parents=[common], help="run every suite")
-    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=60,
-                   help=argparse.SUPPRESS)
-    p.set_defaults(runner=run_all, lattice=None, t=None, pit=False)
+    p.set_defaults(runner=run_all, lattice=None, t=None, pit=False,
+                   max_weight=_DEFAULT_MAX_WEIGHT)
 
     return parser
 

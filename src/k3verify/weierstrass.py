@@ -45,8 +45,9 @@ class IdenticallyZeroError(ValueError):
     """The discriminant of the model vanishes identically."""
 
 
-class InconsistentValuationsError(ValueError):
-    """Valuation triple matches no row of the Kodaira table."""
+class InconsistentValuationsError(ArithmeticError):
+    """Valuation triple matches no row of the Kodaira table: a fault in the
+    caller, not in the input, so the CLI reports it as an internal error."""
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ Multiplication, powers and exact division run on a private integer kernel:
 each operand is converted once into a scale ``Fraction`` times a map from
 packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
 once, so ``Fraction`` arithmetic appears only at these boundaries.  A large
-product of weighted-homogeneous operands, such as the coefficients of the
-subresultant chain of the weight-180 discriminant, is formed from big-int
-products with one variable packed into each coefficient (``_Kernel.mul``),
-and so is a sum of such products divided exactly (``_Kernel.dot_div``).
+sum of products of weighted-homogeneous operands divided exactly, as in each
+step of the subresultant chain of the weight-180 discriminant, is formed from
+big-int products with one variable packed into each coefficient
+(``_Kernel.dot_div``).
 
 Evaluation runs on an integer form that each polynomial builds at most once
 (see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
@@ -430,30 +430,6 @@ class WeightedPolynomial:
             coeffs[exp[i]][reduced] = coeff
         return [WeightedPolynomial(self.table, t) for t in coeffs]
 
-    def content_in_var(self, var: str) -> "ContentResult":
-        """Heuristic gcd of the coefficients of the ``var``-univariate view.
-
-        A bounded number of candidate divisors is tried and every candidate is
-        verified by exact division.  When no candidate certifies, the result is
-        content 1 flagged inconclusive.
-        """
-        one = WeightedPolynomial.constant(self.table, 1)
-        coeffs = [c for c in self.univariate_view(var) if not c.is_zero()]
-        if not coeffs:
-            return ContentResult(WeightedPolynomial.zero(self.table), True)
-        if any(c.is_constant() for c in coeffs):
-            return ContentResult(one, True)
-        # candidates: the smallest coefficients by term count
-        candidates = sorted(coeffs, key=lambda c: c.term_count())[:4]
-        for cand in candidates:
-            try:
-                for c in coeffs:
-                    c.exact_div(cand)
-            except NotDivisibleError:
-                continue
-            return ContentResult(cand, True)
-        return ContentResult(one, False)
-
 
 def _power_rows(tops, point, skip=-1):
     """For each coordinate x the row x^e, e = 0..top, concatenated.
@@ -479,12 +455,6 @@ def _power_rows(tops, point, skip=-1):
     return rows
 
 
-@dataclass(frozen=True)
-class ContentResult:
-    content: WeightedPolynomial
-    conclusive: bool
-
-
 # -- packed-monomial integer kernel -------------------------------------------
 
 # Bits per variable in a packed monomial: the top bit of each field is a guard
@@ -492,7 +462,7 @@ class ContentResult:
 _FIELD_BITS = 16
 _EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
 
-# Products, and sums of products, of at least this many term products pack.
+# Sums of products of at least this many term products pack.
 _PACK_MIN = 4096
 
 
@@ -507,17 +477,17 @@ class _Kernel:
     carry into the next field.  Products are checked, and one that sets a
     guard bit raises OverflowError instead of wrapping.
 
-    ``mul`` forms a * b, and ``dot_div`` the exact quotient N / d of
-    N = a_1 b_1 + ... + a_k b_k.  Either packs when it has at least
-    ``_PACK_MIN`` term products and every operand is weighted-homogeneous,
-    all a_i b_i of one weight.  Then one variable u is fixed by the others,
-    e_u = (weight - weight of the rest) / w_u, so u is dropped (the one of
-    widest exponent range in the largest operand), and a second variable v,
-    the one leaving the fewest outer keys, is packed into the coefficients:
-    {outer key: sum of c * 2^(slot * e_v)}.  The outer keys are multiplied
-    pairwise as big ints and summed, divided by the packed d in the heap loop
-    of ``exact_div``, and read back as balanced base 2^slot digits, with e_u
-    restored from the weight.
+    ``mul`` forms a * b in a schoolbook loop.  ``dot_div`` forms the exact
+    quotient N / d of N = a_1 b_1 + ... + a_k b_k, and it alone packs, when
+    it has at least ``_PACK_MIN`` term products and every operand and d are
+    weighted-homogeneous, all a_i b_i of one weight.  Then one variable u is
+    fixed by the others, e_u = (weight - weight of the rest) / w_u, so u is
+    dropped (the one of widest exponent range in the largest operand), and a
+    second variable v, the one leaving the fewest outer keys, is packed into
+    the coefficients: {outer key: sum of c * 2^(slot * e_v)}.  The outer
+    keys are multiplied pairwise as big ints and summed, divided by the
+    packed d in the heap loop of ``exact_div``, and read back as balanced
+    base 2^slot digits, with e_u restored from the weight.
 
     Two bounds make this exact.  A coefficient of a_i b_i sums at most
     min(len a_i, len b_i) products of magnitude at most max|a_i| * max|b_i|,
@@ -600,10 +570,6 @@ class _Kernel:
     def mul(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        if len(a) * len(b) >= _PACK_MIN:
-            out = self._packed_mul(a, b)
-            if out is not None:
-                return out
         terms = list(a.items())
         out = {}
         for kb, cb in b.items():
@@ -616,11 +582,6 @@ class _Kernel:
         self._check(reduce(or_, out, 0))
         return {key: c for key, c in out.items() if c}
 
-    def _packed_mul(self, a, b):
-        """a * b for weighted-homogeneous a and b, len(a) >= len(b), as
-        products of big ints; None when the operands do not suit it."""
-        return self._packed([(a, b)])
-
     def dot_div(self, pairs, d):
         """The exact quotient (sum of a * b over ``pairs``) / d; raises
         NotDivisibleError with the remainder ``exact_div`` gives otherwise."""
@@ -631,14 +592,14 @@ class _Kernel:
                 return out
         return self.exact_div(reduce(self.add, [self.mul(a, b) for a, b in pairs], {}), d)
 
-    def _packed(self, pairs, d=None):
-        """The sum of a * b over ``pairs``, divided by d unless d is None, as
-        big ints (see the class docstring); None when the operands or the
-        quotient do not suit it."""
+    def _packed(self, pairs, d):
+        """The sum of a * b over ``pairs``, divided by d, as big ints (see the
+        class docstring); None when the operands or the quotient do not suit
+        it."""
         mask, shifts, weights = _EXPONENT_LIMIT - 1, self.shifts, self.table.weights
         operands = [x for pair in pairs for x in pair]
         graded = []  # (exponent columns, weight) of each operand, then of d
-        for value in operands + ([d] if d else []):
+        for value in operands + [d]:
             cols = [[(key >> s) & mask for key in value] for s in shifts]
             degrees = set(map(lambda *exp: sum(map(mul, weights, exp)), *cols))
             if len(degrees) != 1:
@@ -649,7 +610,7 @@ class _Kernel:
         totals = {x[1] + y[1] for x, y in pair_grades}
         if len(totals) != 1:
             return None
-        total = totals.pop() - (graded[-1][1] if d else 0)  # weight of every output term
+        total = totals.pop() - graded[-1][1]  # weight of every output term
         # each product key lies fieldwise below the sum of the operands'
         # maxima, so checking that sum is the schoolbook loop's overflow check
         for (x, _), (y, _) in pair_grades:
@@ -687,14 +648,12 @@ class _Kernel:
                         terms[key] += cx * cy
                     else:
                         terms[key] = cx * cy
-        terms = terms.items()
-        if d:
-            try:
-                terms, exact = self._divide(sorted(terms, reverse=True), packed(d))
-            except OverflowError:  # only a division that is not exact gets here
-                return None
-            if not exact:
-                return None
+        try:
+            terms, exact = self._divide(sorted(terms.items(), reverse=True), packed(d))
+        except OverflowError:  # only a division that is not exact gets here
+            return None
+        if not exact:
+            return None
         # balanced base-2^slot digits
         full, digit = 1 << slot, (1 << slot) - 1
         half = full >> 1
@@ -715,8 +674,8 @@ class _Kernel:
                         return None
                     out.append((key | e << sv | eu << su, c))
                 e += 1
-        if d and out and (max(abs(c) for _, c in out) * max(map(abs, d.values()))
-                          * min(len(out), len(d))).bit_length() >= slot:
+        if out and (max(abs(c) for _, c in out) * max(map(abs, d.values()))
+                    * min(len(out), len(d))).bit_length() >= slot:
             return None
         return dict(out)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3verify import cli, exactalg, families, lattice
+from k3verify import cli, exactalg, families, lattice, weierstrass
 from k3verify.cli import main
 from k3verify.eliminate import PitConfig
 from k3verify.wpoly import NotDivisibleError, WeightedPolynomial
@@ -296,6 +296,15 @@ def test_dims_max_weight_zero_is_accepted(capsys):
     assert all(status == "pass" for status in _statuses(capsys).values())
 
 
+def test_all_has_no_max_weight_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--max-weight", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-weight 5" in captured.err
+
+
 @pytest.mark.parametrize("exc", [KeyError("t99"), TypeError("unsupported operand")],
                          ids=["key-error", "type-error"])
 def test_any_escaping_exception_exits_three(monkeypatch, capsys, exc):
@@ -473,6 +482,18 @@ def test_form_order_cap_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: OrderTooLargeError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_inconsistent_valuations_are_an_internal_error(monkeypatch, capsys):
+    # a valuation triple outside the Kodaira table is a fault of the caller
+    monkeypatch.setattr(weierstrass, "kodaira_from_valuations",
+                        _raise(weierstrass.InconsistentValuationsError(
+                            "no table row for (1, 1, 7)")))
+    assert main(["fibers"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InconsistentValuationsError: ")
     assert captured.err.count("\n") == 1
 
 

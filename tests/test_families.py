@@ -24,7 +24,7 @@ from k3verify.families import (
     sample_points,
     random_certified_points,
 )
-from k3verify.wpoly import parse
+from k3verify.wpoly import VariableTable, parse
 
 
 def _point_by_name(name):
@@ -150,6 +150,23 @@ def test_irreducibility_rejects_delta_t():
     )
     assert not cert.certified
     assert cert.reason
+
+
+def test_irreducibility_certificate_failures():
+    table = VariableTable(("a", "b", "x"), (1, 1, 1))
+    cfg = PitConfig(trials=4, seed=0)
+    # content a, and content 1 with no constant coefficient: neither certifies
+    for text in ("a*x^2 + a^2*x + a^3", "a*x + b"):
+        cert = irreducibility_certificate(parse(text, table), "x", cfg)
+        assert not cert.certified
+        assert cert.reason == "content check inconclusive"
+    cert = irreducibility_certificate(parse("a*x^2 + a^2*x", table), "x", cfg)
+    assert not cert.certified
+    assert cert.reason == "the coefficient of x^0 vanishes: x divides a factor"
+    # (x + a)(x + 1) passes both checks, and every specialization factors
+    cert = irreducibility_certificate(parse("x^2 + a*x + x + a", table), "x", cfg)
+    assert not cert.certified
+    assert (cert.reason, cert.trials) == ("budget exhausted", 4)
 
 
 def test_genericity_of_fixture_points():

@@ -344,14 +344,6 @@ def test_univariate_view():
     assert render(view[1]) == "t4"
 
 
-def test_content_in_var():
-    table = VariableTable(("a", "x"), (1, 1))
-    p = parse("a*x^2 + a^2*x", table)
-    result = p.content_in_var("x")
-    assert result.conclusive
-    assert render(result.content) == "a"
-
-
 def test_factor_mod_p_examples():
     f = factor_mod_p([1, 0, 1], 5)  # x^2 + 1 = (x + 2)(x + 3) mod 5
     assert len(f.factors) == 2
@@ -397,7 +389,7 @@ def test_factor_mod_p_errors():
         factor_mod_p([1, 5], 5)
 
 
-# -- packed kernel products ----------------------------------------------------
+# -- kernel products -----------------------------------------------------------
 
 W4 = VariableTable(("a", "b", "c", "d"), (2, 3, 5, 7))
 
@@ -417,39 +409,14 @@ def _dense(rng, weight):
             for e in _monomials(W4.weights, weight)}
 
 
-def _kernel_product(p, q):
-    kernel = _Kernel(W4)
-    _scale, (a, b) = kernel.pack([WeightedPolynomial.from_terms(W4, p),
-                                  WeightedPolynomial.from_terms(W4, q)])
-    return kernel.poly(kernel.mul(a, b)).terms
-
-
-@pytest.fixture
-def packed_calls(monkeypatch):
-    """[(len a, len b), returned] for every ``_Kernel._packed_mul`` call:
-    ``returned`` says whether it gave a product, and stays None when the call
-    raised."""
-    calls = []
-    packed = _Kernel._packed_mul
-
-    def recording(self, a, b):
-        call = [(len(a), len(b)), None]
-        calls.append(call)
-        out = packed(self, a, b)
-        call[1] = out is not None
-        return out
-
-    monkeypatch.setattr(_Kernel, "_packed_mul", recording)
-    return calls
-
-
-def test_packed_mul_matches_schoolbook(packed_calls):
+def _dense_products():
+    """(pairs, cancelling): four dense pairs over W4, and a pair whose product
+    has a monomial whose contributions cancel exactly."""
     rng = random.Random(180)
-    cases = [(_dense(rng, wa), _dense(rng, wb))
+    pairs = [(_dense(rng, wa), _dense(rng, wb))
              for wa, wb in ((30, 45), (33, 41), (38, 38), (45, 44))]
-    # a product monomial whose contributions cancel exactly: with q[t] = big
-    # and every other q coefficient a multiple of big, p[s] can be chosen so
-    # that the coefficient of s + t is zero
+    # with q[t] = big and every other q coefficient a multiple of big, p[s]
+    # can be chosen so that the coefficient of s + t is zero
     p, q, big = _dense(rng, 40), _dense(rng, 42), (1 << 70) + 1
     s, t = rng.choice(sorted(p)), rng.choice(sorted(q))
     m = tuple(x + y for x, y in zip(s, t))
@@ -461,46 +428,27 @@ def test_packed_mul_matches_schoolbook(packed_calls):
             rest += p[f] * c
     p[s] = -rest // big
     assert p[s] and m not in _schoolbook_mul(p, q)
-    cases.append((p, q))
-    # the slot bound is tight: every coefficient has magnitude C, and the
-    # 42 divisors of weight 35 of m0 are the whole smaller operand, so the
-    # coefficient of m0 is -C^2 * 42 = -max|a| * max|b| * min(len a, len b)
-    c, m0 = (1 << 70) - 1, (9, 7, 4, 3)
-    small = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 35)
-             if all(x <= y for x, y in zip(e, m0))}
-    large = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 45)}
-    assert _schoolbook_mul(large, small)[m0] == -c * c * len(small) == -c * c * 42
-    cases.append((large, small))
-    for p, q in cases:
-        assert len(p) * len(q) >= _PACK_MIN
-        assert _kernel_product(p, q) == _schoolbook_mul(p, q)
-    assert [returned for _sizes, returned in packed_calls] == [True] * len(cases)
+    return pairs, (p, q)
 
 
-def test_non_homogeneous_operands_take_the_schoolbook_loop(packed_calls):
+def test_products_take_the_schoolbook_loop(packed_divisions):
+    pairs, cancelling = _dense_products()
     rng = random.Random(45)
     p, q = _dense(rng, 38), _dense(rng, 40)
     p[(0, 0, 0, 0)] = 1 << 65  # weight 0 among terms of weight 38
-    assert len(p) * len(q) >= _PACK_MIN
-    assert _kernel_product(p, q) == _schoolbook_mul(p, q)
-    assert _kernel_product(q, p) == _schoolbook_mul(p, q)
-    assert [returned for _sizes, returned in packed_calls] == [False, False]
-
-
-def test_packed_mul_overflow_raises(packed_calls):
+    for p, q in pairs + [cancelling, (p, q), (q, p)]:
+        assert len(p) * len(q) >= _PACK_MIN
+        product = WeightedPolynomial.from_terms(W4, p) * WeightedPolynomial.from_terms(W4, q)
+        assert product.terms == _schoolbook_mul(p, q)
+    # the overflow check holds for a homogeneous product and for one that is not
     xy = VariableTable(("x", "y"), (1, 1))
     top = _EXPONENT_LIMIT - 10
     line = {(i, top - i): i + 1 for i in range(70)}  # homogeneous, 70 terms
-    p = WeightedPolynomial.from_terms(xy, line)
-    with pytest.raises(OverflowError):
-        p * p
-    assert packed_calls == [[(70, 70), None]]  # entered, then raised
-    packed_calls.clear()
-    # the same product through the schoolbook loop raises too
-    q = WeightedPolynomial.from_terms(xy, {**line, (0, 0): 1})
-    with pytest.raises(OverflowError):
-        q * q
-    assert packed_calls == [[(71, 71), False]]
+    for terms in (line, {**line, (0, 0): 1}):
+        p = WeightedPolynomial.from_terms(xy, terms)
+        with pytest.raises(OverflowError):
+            p * p
+    assert packed_divisions == []  # only ``dot_div`` packs
 
 
 # -- packed exact division -----------------------------------------------------
@@ -508,16 +456,15 @@ def test_packed_mul_overflow_raises(packed_calls):
 
 @pytest.fixture
 def packed_divisions(monkeypatch):
-    """[term products, returned] for every ``_Kernel._packed`` call with a
-    divisor: ``returned`` says whether it gave a quotient, and stays None when
-    the call raised."""
+    """[term products, returned] for every ``_Kernel._packed`` call:
+    ``returned`` says whether it gave a quotient, and stays None when the call
+    raised."""
     calls = []
     packed = _Kernel._packed
 
-    def recording(self, pairs, d=None):
+    def recording(self, pairs, d):
         call = [sum(len(a) * len(b) for a, b in pairs), None]
-        if d is not None:
-            calls.append(call)
+        calls.append(call)
         out = packed(self, pairs, d)
         call[1] = out is not None
         return out
@@ -577,13 +524,20 @@ def test_dot_div_matches_schoolbook_then_heap_division(packed_divisions):
     rng = random.Random(90)
     cases = [_divisible_pairs(rng, k, wa, wb, wd)
              for k, wa, wb, wd in ((1, 36, 40, 12), (2, 30, 38, 10), (3, 28, 36, 14), (2, 33, 41, 17))]
-    # the slot bound is tight and the quotient bound just met: the tight
-    # product of test_packed_mul_matches_schoolbook over 1
+    # the slot bound is tight and the quotient bound just met: every
+    # coefficient has magnitude C, and the 42 divisors of weight 35 of m0 are
+    # the whole smaller operand, so the coefficient of m0 is -C^2 * 42 =
+    # -max|a| * max|b| * min(len a, len b); divided by 1
     c, m0 = (1 << 70) - 1, (9, 7, 4, 3)
     small = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 35)
              if all(x <= y for x, y in zip(e, m0))}
     large = {e: (-1) ** e[0] * c for e in _monomials(W4.weights, 45)}
-    cases.append(([(large, small)], {(0, 0, 0, 0): 1}, _schoolbook_mul(large, small)))
+    assert _schoolbook_mul(large, small)[m0] == -c * c * len(small) == -c * c * 42
+    one = {(0, 0, 0, 0): 1}
+    cases.append(([(large, small)], one, _schoolbook_mul(large, small)))
+    # a dense product, and one with a coefficient that cancels exactly, over 1
+    dense, cancelling = _dense_products()
+    cases += [([pair], one, _schoolbook_mul(*pair)) for pair in (dense[0], cancelling)]
     for pairs, d, q in cases:
         assert sum(len(a) * len(b) for a, b in pairs) >= _PACK_MIN
         assert _kernel_dot_div(W4, pairs, d) == q == _heap_division(W4, _schoolbook_dot(pairs), d)
@@ -712,7 +666,7 @@ def test_disc_r_takes_the_packed_path_and_factors(monkeypatch):
         return dot_div(self, pairs, d)
 
     def recording(self, pairs, d=None):
-        # every packed product, from ``mul`` or ``dot_div``; with a divisor a
+        # every packed product, all from ``dot_div``; with a divisor a
         # returned quotient met its bound, and the dividend's terms are
         # counted here
         out = packed_path(self, pairs, d)
