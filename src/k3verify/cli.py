@@ -18,7 +18,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families, lattice, weierstrass
@@ -26,14 +25,18 @@ from .eliminate import PitConfig
 from .wpoly import WeightedPolynomial
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    seed: int = 0
-    runtime_ms: int = 0
-    constants: dict = field(default_factory=dict)
-    suite_runtime_ms: dict = field(default_factory=dict)  # set by ``all`` only
+    """The checks of one suite, its constants and its run time."""
+
+    __slots__ = ("suite", "checks", "seed", "runtime_ms", "constants", "suite_runtime_ms")
+
+    def __init__(self, suite: str, seed: int = 0):
+        self.suite = suite
+        self.checks = []
+        self.seed = seed
+        self.runtime_ms = 0
+        self.constants = {}
+        self.suite_runtime_ms = {}  # set by ``all`` only
 
     def add(self, name, status, details="", witness=None):
         entry = {"name": name, "status": status, "details": str(details)}

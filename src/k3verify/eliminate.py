@@ -17,8 +17,6 @@ two coefficient bounds prove it exact (see ``wpoly._Kernel``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .wpoly import WeightedPolynomial, _Kernel
 
 
@@ -30,17 +28,19 @@ class DegreeTooLowError(ValueError):
     """Discriminants need degree at least 2 in the variable."""
 
 
-@dataclass(frozen=True)
 class PitConfig:
-    trials: int = 100
-    seed: int = 0
-    sample_bound: int = 1_000_003
+    """Trial budget, seed and coordinate bound B of a randomized test."""
 
-    def __post_init__(self):
-        if self.trials < 1:
+    __slots__ = ("trials", "seed", "sample_bound")
+
+    def __init__(self, trials: int = 100, seed: int = 0, sample_bound: int = 1_000_003):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.sample_bound < 2:
+        if sample_bound < 2:
             raise ValueError("sample_bound must be >= 2")
+        self.trials = trials
+        self.seed = seed
+        self.sample_bound = sample_bound
 
 
 _MASK = (1 << 64) - 1

@@ -7,17 +7,27 @@ Matrices are immutable values and every kernel returns fresh matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import floordiv
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries, equal and hashed by
+    value."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":

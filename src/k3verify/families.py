@@ -9,11 +9,11 @@ ConsistencyFailure naming the offending monomials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import upoly
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
@@ -47,21 +47,21 @@ class ConsistencyFailure(AssertionError):
     """A derived polynomial disagrees with its printed golden counterpart."""
 
 
-@dataclass(frozen=True)
 class ParameterPoint:
-    """A point (t4, t6, t10, t12, t18) of the weighted parameter space."""
+    """A nonzero point (t4, t6, t10, t12, t18) of the weighted parameter
+    space, with ``Fraction`` coordinates; equal by value."""
 
-    t4: Fraction
-    t6: Fraction
-    t10: Fraction
-    t12: Fraction
-    t18: Fraction
+    __slots__ = ("t4", "t6", "t10", "t12", "t18")
 
-    def __post_init__(self):
-        for name in ("t4", "t6", "t10", "t12", "t18"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, t4, t6, t10, t12, t18):
+        self.t4, self.t6, self.t10, self.t12, self.t18 = map(Fraction, (t4, t6, t10, t12, t18))
         if not any(self.as_tuple()):
             raise ValueError("parameter point must be nonzero")
+
+    def __eq__(self, other):
+        if not isinstance(other, ParameterPoint):
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
 
     def as_tuple(self):
         return (self.t4, self.t6, self.t10, self.t12, self.t18)
@@ -160,8 +160,7 @@ def _content_and_sign(p: WeightedPolynomial) -> Fraction:
     return -content if lead_coeff < 0 else content
 
 
-@dataclass(frozen=True)
-class DiscFactorization:
+class DiscFactorization(NamedTuple):
     """disc_{x0}(R) = c * r^3 * d90 with the fitted constant c."""
 
     c: Fraction
@@ -271,8 +270,7 @@ def cd_r0_poly() -> WeightedPolynomial:
     return res
 
 
-@dataclass(frozen=True)
-class CdDiscFactorization:
+class CdDiscFactorization(NamedTuple):
     """disc_{x1}(R0) = c' * gamma^3 * r0^3 * d0 with the fitted constant c',
     where ``disc`` is taken in the resultant normalization res(R0, R0')."""
 
@@ -406,8 +404,7 @@ def dim_forms_bruteforce(k: int) -> int:
 _CERTIFICATE_PRIMES = (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(NamedTuple):
     """Outcome of the d90 irreducibility search."""
 
     certified: bool

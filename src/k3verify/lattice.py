@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .exactalg import (
     ExactMatrix,
@@ -61,7 +61,6 @@ def _integral(v):
     return d, [int(x * d) for x in v]
 
 
-@dataclass(frozen=True)
 class GramLattice:
     """Even integral lattice given by a symmetric Gram matrix.
 
@@ -72,19 +71,17 @@ class GramLattice:
     through ``inner``.
     """
 
-    gram: ExactMatrix
-    label: str = ""
-    int_rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.gram.is_symmetric():
+    def __init__(self, gram: ExactMatrix, label: str = ""):
+        if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if not self.gram.is_integral():
+        if not gram.is_integral():
             raise ValueError("Gram matrix must be integral")
-        rows = tuple(map(tuple, self.gram.to_int_rows()))
+        rows = tuple(map(tuple, gram.to_int_rows()))
         if any(rows[i][i] % 2 for i in range(len(rows))):
             raise ValueError("lattice is not even: odd diagonal entry")
-        object.__setattr__(self, "int_rows", rows)
+        self.gram = gram
+        self.label = label
+        self.int_rows = rows
 
     @property
     def rank(self) -> int:
@@ -253,8 +250,7 @@ def signature(lat: GramLattice):
     return pos, neg
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(NamedTuple):
     """Discriminant group with its Q/2Z-valued quadratic form.
 
     The group is a product of cyclic groups of the listed orders; elements are
@@ -400,20 +396,20 @@ def rank_mod_p(lat: GramLattice, p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class KneserReport:
+class KneserReport(NamedTuple):
     """Verdicts for the four Kneser conditions.
 
     Each verdict is "pass", "fail", or "inconclusive"; the overall verdict is
-    "pass" only when all four conditions are certified.
+    "pass" only when all four conditions are certified.  ``witness`` is a
+    norm -2 vector or None.
     """
 
     signature_ok: str
     minus_two_vector: str
     rank_mod_2_ok: str
     rank_mod_3_ok: str
-    witness: tuple = None
-    details: dict = field(default_factory=dict)
+    witness: tuple
+    details: dict
 
     @property
     def overall(self) -> str:
@@ -498,8 +494,7 @@ def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
     )
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """Integral isometry of a lattice with its determinant and disc action."""
 
     matrix: ExactMatrix

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 
 def trim(a) -> tuple:
@@ -362,8 +362,7 @@ def _equal_degree_p(f, d: int, p: int, rng):
             return _equal_degree_p(g, d, p, rng) + _equal_degree_p(rest, d, p, rng)
 
 
-@dataclass(frozen=True)
-class FactorizationModP:
+class FactorizationModP(NamedTuple):
     """unit * prod(factor^multiplicity) == input mod p, factors monic irreducible."""
 
     modulus: int

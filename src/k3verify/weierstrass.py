@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import upoly
 from .wpoly import VariableTable, WeightedPolynomial, parse, render
@@ -50,16 +50,25 @@ class InconsistentValuationsError(ArithmeticError):
     caller, not in the input, so the CLI reports it as an internal error."""
 
 
-@dataclass(frozen=True)
 class KodairaType:
-    """Kodaira symbol of a singular fiber, e.g. I1, II*, I0*."""
+    """Kodaira symbol of a singular fiber, e.g. I1, II*, I0*; equal and
+    hashed by value."""
 
-    tag: str
-    n: int = 0
+    __slots__ = ("tag", "n")
 
-    def __post_init__(self):
-        if self.tag not in ("I", "I*") and self.tag not in _KODAIRA_EULER:
-            raise ValueError(f"unknown Kodaira tag {self.tag!r}")
+    def __init__(self, tag: str, n: int = 0):
+        if tag not in ("I", "I*") and tag not in _KODAIRA_EULER:
+            raise ValueError(f"unknown Kodaira tag {tag!r}")
+        self.tag = tag
+        self.n = n
+
+    def __eq__(self, other):
+        if not isinstance(other, KodairaType):
+            return NotImplemented
+        return self.tag == other.tag and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.tag, self.n))
 
     @property
     def euler_number(self) -> int:
@@ -147,33 +156,26 @@ def _mult_partition(f, poly):
     return parts
 
 
-@dataclass(frozen=True)
 class WeierstrassModel:
     """Fibration z^2 = y^3 + g2(x0) y + g3(x0) of a given height over P^1.
 
-    g2 and g3 are Fraction tuples.  The classification reads int_g2 and
-    int_g3, their (scale, primitive integer part) pairs, and int_delta, the
-    primitive integer associate of Delta; all three are computed once here.
+    g2 and g3 are Fraction tuples; two models are equal when g2, g3 and the
+    height are.  The classification reads int_g2 and int_g3, their (scale,
+    primitive integer part) pairs, and int_delta, the primitive integer
+    associate of Delta; all three are computed once here.
     ``delta_strata``, ``minimal_model`` and ``configuration`` are cached on
     first use; a configuration that raises is not cached, so a non-minimal
     model raises on every call.
     """
 
-    g2: tuple
-    g3: tuple
-    height: int = 2
-    int_g2: tuple = field(init=False, repr=False, compare=False)
-    int_g3: tuple = field(init=False, repr=False, compare=False)
-    int_delta: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "g2", upoly.trim(Fraction(c) for c in self.g2))
-        object.__setattr__(self, "g3", upoly.trim(Fraction(c) for c in self.g3))
-        if self.height < 0:
+    def __init__(self, g2, g3, height: int = 2):
+        g2 = upoly.trim(Fraction(c) for c in g2)
+        g3 = upoly.trim(Fraction(c) for c in g3)
+        if height < 0:
             raise ValueError("height must be >= 0")
-        if len(self.g2) > 4 * self.height + 1 or len(self.g3) > 6 * self.height + 1:
+        if len(g2) > 4 * height + 1 or len(g3) > 6 * height + 1:
             raise ValueError("coefficient degree exceeds the height bounds")
-        (s2, a2), (s3, a3) = _integral(self.g2), _integral(self.g3)
+        (s2, a2), (s3, a3) = _integral(g2), _integral(g3)
         # with s2 = n2 / d2 and s3 = n3 / d3, d2^3 d3^2 Delta is this integer
         # polynomial, and a positive factor keeps the primitive part
         delta = upoly.primitive(upoly.combine(
@@ -181,9 +183,17 @@ class WeierstrassModel:
             upoly.power(a3, 2), 27 * s3.numerator ** 2 * s2.denominator ** 3))[1]
         if not delta:
             raise IdenticallyZeroError("discriminant vanishes identically")
-        object.__setattr__(self, "int_g2", (s2, a2))
-        object.__setattr__(self, "int_g3", (s3, a3))
-        object.__setattr__(self, "int_delta", delta)
+        self.g2 = g2
+        self.g3 = g3
+        self.height = height
+        self.int_g2 = (s2, a2)
+        self.int_g3 = (s3, a3)
+        self.int_delta = delta
+
+    def __eq__(self, other):
+        if not isinstance(other, WeierstrassModel):
+            return NotImplemented
+        return (self.g2, self.g3, self.height) == (other.g2, other.g3, other.height)
 
     def degree_bounds(self):
         return 4 * self.height, 6 * self.height, 12 * self.height
@@ -297,8 +307,7 @@ def _minimalize(model: WeierstrassModel) -> WeierstrassModel:
             return current
 
 
-@dataclass(frozen=True)
-class FiberEntry:
+class FiberEntry(NamedTuple):
     """One stratum of singular fibers: place, type, number of fibers."""
 
     # a Fraction, INFINITY, or for a stratum of several roots its primitive
@@ -308,8 +317,7 @@ class FiberEntry:
     count: int = 1
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
+class FiberConfiguration(NamedTuple):
     """All singular fibers of a model with the total Euler number."""
 
     fibers: tuple

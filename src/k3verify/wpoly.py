@@ -23,7 +23,6 @@ Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
@@ -59,22 +58,29 @@ class NotDivisibleError(ArithmeticError):
         self.remainder = remainder
 
 
-@dataclass(frozen=True)
 class VariableTable:
-    """Ordered variable names with positive integer weights."""
+    """Ordered variable names with positive integer weights, equal and hashed
+    by value."""
 
-    names: tuple
-    weights: tuple
+    __slots__ = ("names", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+    def __init__(self, names, weights):
+        self.names = tuple(names)
+        self.weights = tuple(int(w) for w in weights)
         if len(self.names) != len(self.weights):
             raise ValueError("names and weights differ in length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be >= 1")
+
+    def __eq__(self, other):
+        if not isinstance(other, VariableTable):
+            return NotImplemented
+        return self.names == other.names and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.names, self.weights))
 
     def __len__(self):
         return len(self.names)
@@ -781,7 +787,7 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
     n = len(table)
-    result = WeightedPolynomial.zero(table)
+    terms = {}
     i = 0
 
     def parse_term(i, sign):
@@ -838,7 +844,12 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
         i = 1
     while True:
         i, exp, coeff = parse_term(i, sign)
-        result = result + WeightedPolynomial(table, {exp: coeff} if coeff else {})
+        # like terms add up, and one that sums to zero leaves the map, as in ``__add__``
+        s = terms.get(exp, 0) + coeff
+        if s:
+            terms[exp] = s
+        else:
+            terms.pop(exp, None)
         if i >= len(tokens):
             break
         kind, val, pos = tokens[i]
@@ -846,7 +857,7 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
             raise PolynomialSyntaxError("expected '+' or '-'", pos)
         sign = -1 if val == "-" else 1
         i += 1
-    return result
+    return WeightedPolynomial(table, terms)
 
 
 def render(p: WeightedPolynomial) -> str:

@@ -38,6 +38,15 @@ def _check_snf(m):
     return diag
 
 
+def test_matrices_are_equal_and_hashed_by_value():
+    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    same = ExactMatrix.from_rows([[Fraction(2, 2), 2], [3, Fraction(8, 2)]])
+    assert m is not same and m == same and hash(m) == hash(same)
+    assert {m: "m"}[same] == "m"
+    assert m != m.transpose() and m != ExactMatrix.identity(2)
+    assert m[1, 0] == 3
+
+
 def test_snf_identity():
     assert _check_snf(ExactMatrix.identity(2)) == [1, 1]
 

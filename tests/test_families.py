@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3verify import families
 from k3verify.eliminate import PitConfig
 from k3verify.families import (
     ParameterPoint,
@@ -24,6 +25,7 @@ from k3verify.families import (
     sample_points,
     random_certified_points,
 )
+from k3verify.upoly import factor_mod_p
 from k3verify.wpoly import VariableTable, parse
 
 
@@ -167,6 +169,29 @@ def test_irreducibility_certificate_failures():
     cert = irreducibility_certificate(parse("x^2 + a*x + x + a", table), "x", cfg)
     assert not cert.certified
     assert (cert.reason, cert.trials) == ("budget exhausted", 4)
+
+
+def test_irreducibility_certificate_skips_non_integral_specializations(monkeypatch):
+    # every specialization of a + 1/2 at an integer a leaves a denominator
+    table = VariableTable(("a", "x"), (1, 1))
+    primes = []
+    monkeypatch.setattr(families, "factor_mod_p",
+                        lambda coeffs, p: primes.append(p) or factor_mod_p(coeffs, p))
+    cert = irreducibility_certificate(parse("x^2 + a + 1/2", table), "x", PitConfig(trials=7))
+    assert cert == IrreducibilityCertificate(False, trials=7, reason="budget exhausted")
+    assert primes == []
+
+
+def test_irreducibility_certificate_skips_primes_dividing_the_leading_coefficient(monkeypatch):
+    table = VariableTable(("a", "x"), (1, 1))
+    poly = parse("2*x^2 + x + a^2 + 1", table)
+    primes = []
+    monkeypatch.setattr(families, "factor_mod_p",
+                        lambda coeffs, p: primes.append(p) or factor_mod_p(coeffs, p))
+    for seed in range(6):
+        cert = irreducibility_certificate(poly, "x", PitConfig(trials=4, seed=seed))
+        assert cert.certified and cert.prime != 2
+    assert primes and 2 not in primes
 
 
 def test_genericity_of_fixture_points():

@@ -144,6 +144,13 @@ def test_kneser_verdicts():
     assert kneser_check(a_cms_lattice()).overall == "fail"
 
 
+def test_kneser_reports_share_no_details():
+    first, second = kneser_check(a_lattice()), kneser_check(a_lattice())
+    assert first.details == second.details and first.details is not second.details
+    with pytest.raises(TypeError):
+        lattice.KneserReport("pass", "pass", "pass", "pass", None)
+
+
 def test_kneser_skips_search_when_signature_fails(monkeypatch):
     def search(*_args):
         raise AssertionError("the search cannot change a failed verdict")

@@ -86,6 +86,14 @@ def test_kodaira_type_invariants():
     assert KodairaType("IV*").euler_number == 8
 
 
+def test_kodaira_types_are_equal_and_hashed_by_value():
+    assert KodairaType("I", 3) == KodairaType("I", 3)
+    assert hash(KodairaType("I", 3)) == hash(KodairaType("I", 3))
+    assert len({KodairaType("I", 3), KodairaType("I", 3), KodairaType("I*", 3)}) == 2
+    assert KodairaType("II*") == KodairaType("II*", 0) != KodairaType("III*")
+    assert KodairaType("I", 3) != "I3"
+
+
 def test_squarefree_strata():
     # x^2 * (x-1)^3 has strata (x, 2) and (x-1, 3)
     poly = [0, 0, 1]  # x^2

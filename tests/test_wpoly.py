@@ -36,6 +36,16 @@ def _rand_poly(rng, table, max_terms=5, max_exp=3, coeff=9):
     return WeightedPolynomial.from_terms(table, terms)
 
 
+def test_variable_tables_are_equal_and_hashed_by_value():
+    again = VariableTable(list(T.names), [str(w) for w in T.weights])
+    assert again is not T and again == T and hash(again) == hash(T)
+    assert again.weights == (4, 6, 10, 12, 18)
+    assert T != VariableTable(T.names, (4, 6, 10, 12, 19))
+    assert T != VariableTable(("t4", "t6", "t10", "t12", "t20"), T.weights)
+    p, q = parse("t4*t6 + 1", T), parse("t4*t6 + 1", again)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+
+
 def test_parse_single_term():
     p = parse("3125*t10^9", T)
     assert p.terms == {(0, 0, 9, 0, 0): Fraction(3125)}
@@ -47,6 +57,38 @@ def test_parse_zero():
 
 def test_like_term_merge():
     assert render(parse("t4*t6 + t6*t4", T)) == "2*t4*t6"
+
+
+def test_parse_drops_cancelled_monomials():
+    xy = VariableTable(("x", "y"), (1, 1))
+    p = parse("x + 2*x - 3*x + y", xy)
+    assert p == WeightedPolynomial.variable(xy, "y")
+    assert p.terms == {(0, 1): Fraction(1)}
+    assert parse("x*y - y*x", xy).terms == {}
+    assert parse("0*x + 0", xy).terms == {}
+    # a monomial that cancels and comes back is listed where it came back
+    assert list(parse("x - x + y + x", xy).terms) == [(0, 1), (1, 0)]
+
+
+def test_parse_matches_a_sum_of_its_terms():
+    # the terms map, its order included, is the one the sum of the parsed
+    # terms, one by one, builds
+    rng = random.Random(11)
+    for _ in range(200):
+        pieces = []
+        for _ in range(rng.randint(1, 12)):
+            exp = tuple(rng.randint(0, 2) for _ in T.names)
+            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            monomial = "*".join(f"{n}^{e}" for n, e in zip(T.names, exp) if e)
+            body = f"{abs(coeff)}*{monomial}" if monomial else str(abs(coeff))
+            pieces.append(("-" if coeff < 0 else "+", body))
+        text = "".join(f" {sign} {body}" for sign, body in pieces)
+        total = WeightedPolynomial.zero(T)
+        for sign, body in pieces:
+            total = total + parse(sign + body, T)
+        p = parse(text, T)
+        assert list(p.terms.items()) == list(total.terms.items())
+        assert all(p.terms.values())
 
 
 def test_parse_render_roundtrip():
