@@ -1,7 +1,7 @@
 """Exact-arithmetic verification toolkit for an elliptic K3 family.
 
 Modules:
-    exactalg    -- exact integer/rational linear algebra kernels
+    exactalg    -- exact integer linear algebra kernels
     wpoly       -- sparse weighted multivariate polynomials over Q
     eliminate   -- resultants, discriminants, probabilistic identity testing
     lattice     -- even integral lattices and their invariants

@@ -1,20 +1,19 @@
-"""Exact integer and rational linear algebra kernels.
+"""Exact integer linear algebra kernels.
 
-``ExactMatrix`` holds ``fractions.Fraction`` entries; no floating point enters
-any code path.  The Smith normal form, the Bareiss determinant and the inertia
-convert their input to ``int`` rows once and run in integer arithmetic only.
-Matrices are immutable values and every kernel returns fresh matrices.
+``ExactMatrix`` holds ``int`` entries only; no floating point enters any code
+path.  The Smith normal form, the Bareiss determinant and the inertia run in
+integer arithmetic on those entries.  Matrices are immutable values and every
+kernel returns fresh matrices.  ``ExactMatrix.inverse`` is the one rational
+kernel; it is kept for the benchmark tracer, which patches it by name.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import floordiv
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact rational entries, equal and hashed by
-    value."""
+    """Immutable dense matrix with ``int`` entries, equal and hashed by value."""
 
     __slots__ = ("entries",)
 
@@ -31,28 +30,12 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
+        if any(type(x) is not int for row in data for x in row):
+            raise ValueError("matrix entries must be int")
         return ExactMatrix(data)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows([[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def diagonal(values) -> "ExactMatrix":
-        vals = list(values)
-        n = len(vals)
-        return ExactMatrix.from_rows(
-            [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
     @property
     def rows(self) -> int:
@@ -69,9 +52,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def is_symmetric(self) -> bool:
         if not self.is_square():
             return False
@@ -82,47 +62,19 @@ class ExactMatrix:
         )
 
     def to_int_rows(self):
-        if not self.is_integral():
-            raise ValueError("matrix is not integral")
-        return [[int(x) for x in row] for row in self.entries]
+        return [list(row) for row in self.entries]
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return ExactMatrix.from_rows(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
+    def scale(self, c: int) -> "ExactMatrix":
         return ExactMatrix.from_rows([[c * x for x in row] for row in self.entries])
 
-    def apply(self, vector):
-        """Matrix times column vector, returned as a tuple of Fractions."""
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum(self.entries[i][j] * Fraction(vector[j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
-    def inverse(self) -> "ExactMatrix":
-        """Exact inverse via Gauss-Jordan; raises on singular input."""
+    def inverse(self):
+        """Exact inverse as a tuple of ``Fraction`` rows, by Gauss-Jordan;
+        raises on singular input."""
+        # kept until the benchmark drops exactalg.inverse_s
         if not self.is_square():
             raise ValueError("matrix is not square")
         n = self.rows
-        a = [list(row) for row in self.entries]
+        a = [[Fraction(x) for x in row] for row in self.entries]
         inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for col in range(n):
             pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
@@ -138,11 +90,11 @@ class ExactMatrix:
                     f = a[i][col]
                     a[i] = [x - f * y for x, y in zip(a[i], a[col])]
                     inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-        return ExactMatrix.from_rows(inv)
+        return tuple(map(tuple, inv))
 
 
 def smith_normal_form(m: ExactMatrix):
-    """Smith normal form ``u @ m @ v = d`` of an integral matrix.
+    """Smith normal form ``u m v = d`` of an integer matrix.
 
     Returns ``(d, u, v)`` with ``d`` diagonal, nonnegative, satisfying the
     divisibility chain d1 | d2 | ..., and ``u``, ``v`` unimodular.  The pivot
@@ -228,22 +180,18 @@ def smith_normal_form(m: ExactMatrix):
             add_row(t, offender, 1)
         t += 1
 
-    d = ExactMatrix.from_rows(a)
-    return d, ExactMatrix.from_rows(u), ExactMatrix.from_rows(v)
+    return tuple(ExactMatrix(tuple(map(tuple, x))) for x in (a, u, v))
 
 
 def integer_kernel(m: ExactMatrix):
-    """Basis of the saturated integer kernel of an integral matrix.
+    """Basis of the saturated integer kernel of an integer matrix.
 
     The returned vectors come from the unimodular column transform of the
     Smith normal form, so they automatically span a primitive sublattice.
     """
     d, _u, v = smith_normal_form(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
-    basis = []
-    for j in range(rank, m.cols):
-        basis.append(tuple(int(v[i, j]) for i in range(m.cols)))
-    return basis
+    return [tuple(row[j] for row in v.entries) for j in range(rank, m.cols)]
 
 
 def inertia(m: ExactMatrix):
@@ -254,11 +202,9 @@ def inertia(m: ExactMatrix):
     times the true Schur complement, so each true pivot has the sign of
     pivot * previous pivot.  When every diagonal entry of the active block
     vanishes, a symmetric shear manufactures a nonzero pivot (the
-    hyperbolic-plane case, e.g. Gram(U)).  Rational input is first scaled by
-    the lcm of its denominators, which leaves the inertia unchanged.
+    hyperbolic-plane case, e.g. Gram(U)).
     """
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    a = m.to_int_rows()
     n = len(a)
     if any(len(row) != n for row in a) or any(
         a[i][j] != a[j][i] for i in range(n) for j in range(i)
@@ -325,7 +271,7 @@ def bareiss_det(rows, exact_div=floordiv):
 
 
 def det_fraction_free(m: ExactMatrix) -> int:
-    """Exact determinant of an integral matrix by Bareiss elimination."""
+    """Exact determinant of an integer matrix by Bareiss elimination."""
     if not m.is_square():
         raise ValueError("matrix is not square")
-    return bareiss_det(m.to_int_rows())
+    return bareiss_det(m.entries)

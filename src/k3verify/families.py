@@ -9,9 +9,9 @@ ConsistencyFailure naming the offending monomials.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -68,7 +68,9 @@ class ParameterPoint:
 
 
 def _load_text(filename: str) -> str:
-    return resources.files("k3verify.data").joinpath(filename).read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _var(table, name):

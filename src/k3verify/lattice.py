@@ -62,10 +62,10 @@ def _integral(v):
 
 
 class GramLattice:
-    """Even integral lattice given by a symmetric Gram matrix.
+    """Even integral lattice given by a symmetric ``int`` Gram matrix.
 
-    ``int_rows`` is the Gram matrix as a tuple of ``int`` tuples, converted
-    once.  ``norm`` of an ``int`` vector of the right length evaluates the
+    ``int_rows`` is ``gram.entries``, the same tuple of ``int`` tuples, not a
+    copy.  ``norm`` of an ``int`` vector of the right length evaluates the
     cached quadratic form :attr:`_form` in one pass; every other input
     (rational or ``bool`` entries, a wrong length, an empty vector) goes
     through ``inner``.
@@ -74,9 +74,7 @@ class GramLattice:
     def __init__(self, gram: ExactMatrix, label: str = ""):
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if not gram.is_integral():
-            raise ValueError("Gram matrix must be integral")
-        rows = tuple(map(tuple, gram.to_int_rows()))
+        rows = gram.entries
         if any(rows[i][i] % 2 for i in range(len(rows))):
             raise ValueError("lattice is not even: odd diagonal entry")
         self.gram = gram
@@ -140,7 +138,7 @@ class GramLattice:
         if any(d[i, i] == 0 for i in range(n)):
             raise DegenerateLatticeError(f"{self.label or 'lattice'} is degenerate")
         return tuple(
-            (int(d[i, i]), tuple(int(v[r, i]) for r in range(n)))
+            (d[i, i], tuple(v[r, i] for r in range(n)))
             for i in range(n)
             if d[i, i] > 1
         )
@@ -185,7 +183,9 @@ def catalog(name: str) -> GramLattice:
         values = [int(x) for x in text[5:-1].split(",")]
         if any(v % 2 for v in values):
             raise UnknownLatticeError(f"diag entries must be even: {name}")
-        return GramLattice(ExactMatrix.diagonal(values), label=name)
+        rows = [[v if i == j else 0 for j in range(len(values))]
+                for i, v in enumerate(values)]
+        return GramLattice(ExactMatrix.from_rows(rows), label=name)
     m = _NAME_RE.match(text)
     if not m:
         raise UnknownLatticeError(f"unknown lattice name: {name}")
@@ -213,12 +213,8 @@ def catalog(name: str) -> GramLattice:
             raise UnknownLatticeError(f"I needs a positive rank: {name}")
         if scale % 2:
             raise UnknownLatticeError(f"I_k needs an even scale: {name}")
-        rows = [[scale if i == j else 0 for j in range(k)] for i in range(k)]
-        return GramLattice(ExactMatrix.from_rows(rows), label=text)
-    gram = ExactMatrix.from_rows(rows)
-    if scale != 1:
-        gram = gram.scale(scale)
-    return GramLattice(gram, label=text)
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    return GramLattice(ExactMatrix.from_rows(rows).scale(scale), label=text)
 
 
 def direct_sum(lattices, label: str = "") -> GramLattice:
@@ -538,11 +534,13 @@ def _gram_of(lat: GramLattice, vectors):
 
 def _smith_invariants(sub_basis, n):
     """Integer rows of a sublattice basis and the Smith invariants of their
-    matrix; raises :class:`DependentBasisError` if the rank falls short."""
-    basis = [tuple(int(x) for x in v) for v in sub_basis]
+    matrix; raises ``ValueError`` on a non-``int`` entry or a wrong length and
+    :class:`DependentBasisError` if the rank falls short."""
+    m = ExactMatrix.from_rows(sub_basis)
+    basis = m.entries
     if any(len(v) != n for v in basis):
         raise ValueError("dimension mismatch")
-    d, _u, _v = smith_normal_form(ExactMatrix.from_rows(basis))
+    d, _u, _v = smith_normal_form(m)
     invariants = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
     if len(invariants) != len(basis):
         raise DependentBasisError("sublattice basis is linearly dependent")

@@ -44,6 +44,7 @@ from k3verify.lattice import (
 )
 from k3verify.weierstrass import fiber_configuration, is_k3
 from k3verify.wpoly import VariableTable, WeightedPolynomial, parse
+from matrix_helpers import identity, matmul, transpose
 
 
 def _report(name: str, budget_s: float, body):
@@ -205,12 +206,11 @@ def test_criterion_8_property_suites():
         cases = 0
 
         # reflections: Gram-preserving involutions of det -1, trivial on A^vee/A
-        identity = ExactMatrix.identity(6)
         for _ in range(250):
             sigma = reflection(a, rng.choice(deltas))
             assert sigma.det == -1
-            assert sigma.matrix @ sigma.matrix == identity
-            assert sigma.matrix.transpose() @ a.gram @ sigma.matrix == a.gram
+            assert matmul(sigma.matrix, sigma.matrix) == identity(6)
+            assert matmul(transpose(sigma.matrix), a.gram, sigma.matrix) == a.gram.entries
             assert sigma.fixes_discriminant_group
             cases += 1
 
@@ -221,8 +221,8 @@ def test_criterion_8_property_suites():
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
             d, u, v = smith_normal_form(m)
-            assert u @ m @ v == d
-            sym = m @ m.transpose()
+            assert matmul(u, m, v) == d.entries
+            sym = ExactMatrix.from_rows(matmul(m, transpose(m)))
             p, q, z = inertia(sym)
             assert p + q + z == n
             cases += 1

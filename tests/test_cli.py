@@ -17,11 +17,12 @@ from k3verify.wpoly import NotDivisibleError, WeightedPolynomial
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time; a fresh interpreter without site or environment
-    # sees only what the package itself imports
+    # all three cost start-up time; a fresh interpreter without site or
+    # environment sees only what the package itself imports
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import k3verify.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

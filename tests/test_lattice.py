@@ -34,6 +34,7 @@ from k3verify.lattice import (
     rescale,
     signature,
 )
+from matrix_helpers import apply, identity, matmul, transpose
 
 
 def test_catalog_a2_negative():
@@ -172,9 +173,8 @@ def test_reflection_basics():
     delta = (0, 0, 0, 0, 1, 0)
     sigma = reflection(a, delta)
     assert sigma.det == -1
-    assert sigma.matrix.apply(delta) == tuple(-x for x in delta)
-    identity = ExactMatrix.identity(6)
-    assert sigma.matrix @ sigma.matrix == identity
+    assert apply(sigma.matrix, delta) == tuple(-x for x in delta)
+    assert matmul(sigma.matrix, sigma.matrix) == identity(6)
     assert sigma.fixes_discriminant_group
     with pytest.raises(WrongNormError):
         reflection(a, (1, 0, 0, 0, 0, 0))
@@ -188,11 +188,10 @@ def test_reflection_random_involutions():
         if any(v) and a.norm(v) == -2
     ]
     rng = random.Random(19)
-    identity = ExactMatrix.identity(6)
     for delta in rng.sample(deltas, 50):
         sigma = reflection(a, delta)
-        assert sigma.matrix.transpose() @ a.gram @ sigma.matrix == a.gram
-        assert sigma.matrix @ sigma.matrix == identity
+        assert matmul(transpose(sigma.matrix), a.gram, sigma.matrix) == a.gram.entries
+        assert matmul(sigma.matrix, sigma.matrix) == identity(6)
         assert sigma.det == -1
 
 
@@ -235,6 +234,22 @@ def test_primitive_sublattice():
     comp_basis = m_sublattice_basis()
     comp = orthogonal_complement(big, comp_basis)
     assert comp.rank == 6  # saturated by construction
+
+
+@pytest.mark.parametrize("check", [
+    lambda: is_primitive_sublattice(catalog("U"), [(Fraction(3, 2), 1)]),
+    lambda: is_primitive_sublattice(catalog("U"), [(1.9, 1)]),
+    lambda: orthogonal_complement(a_lattice(), [(Fraction(3, 2), 1, 0, 0, 0, 0)]),
+], ids=["fraction", "float", "complement"])
+def test_sublattice_basis_must_be_integral(check):
+    # a non-int entry is refused, not truncated to an int
+    with pytest.raises(ValueError):
+        check()
+
+
+def test_gram_lattice_holds_its_gram_matrix_once():
+    for lat in (catalog("U(2)"), catalog("diag(2,-4)"), a_lattice(), k3_lattice(), m_lattice()):
+        assert lat.int_rows is lat.gram.entries
 
 
 def test_same_genus():
@@ -428,7 +443,7 @@ def test_reflection_matrix_formula_on_box():
     deltas = [v for v in product(range(-2, 3), repeat=6) if any(v) and a.norm(v) == -2]
     assert deltas
     for delta in deltas:
-        gd = a.gram.apply(delta)
+        gd = apply(a.gram, delta)
         expected = ExactMatrix.from_rows(
             [[(r == c) + delta[r] * gd[c] for c in range(6)] for r in range(6)]
         )
