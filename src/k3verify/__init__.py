@@ -2,7 +2,7 @@
 
 Modules:
     exactalg    -- exact integer linear algebra kernels
-    wpoly       -- sparse weighted multivariate polynomials over Q
+    wpoly       -- sparse weighted multivariate polynomials over Z
     eliminate   -- resultants, discriminants, probabilistic identity testing
     lattice     -- even integral lattices and their invariants
     weierstrass -- Weierstrass models and Kodaira fiber classification

@@ -4,11 +4,10 @@ testing.
 The resultant is defined as the determinant of the Sylvester matrix with the
 rows of the first argument on top.  It is computed by Ducos' subresultant
 algorithm (Ducos, "Optimizations of the subresultant algorithm", JPAA 145,
-2000), run on the integer kernel of ``wpoly`` after clearing denominators:
-one pseudo-remainder, then each subresultant from the previous two by Ducos'
-reduction, which divides exactly as it goes instead of forming the full
-pseudo-remainder, and each power quotient x^n / y^(n-1) by Lazard's
-square-and-divide.
+2000), run on the integer kernel of ``wpoly``: one pseudo-remainder, then
+each subresultant from the previous two by Ducos' reduction, which divides
+exactly as it goes instead of forming the full pseudo-remainder, and each
+power quotient x^n / y^(n-1) by Lazard's square-and-divide.
 
 Every division of the chain divides a sum of products, handed to the kernel
 as pairs (``_Kernel.dot_div``): large weighted-homogeneous ones, as in disc(R),
@@ -90,8 +89,8 @@ def _prem(a, b, kernel):
         _trim(r)
         e -= 1
     if e > 0:
-        scale = kernel.pow(lb, e)
-        r = [mul(c, scale) for c in r]
+        power = kernel.pow(lb, e)
+        r = [mul(c, power) for c in r]
     return r
 
 
@@ -118,21 +117,18 @@ def resultant(f: WeightedPolynomial, g: WeightedPolynomial, var: str) -> Weighte
 def _resultant_ducos(a, b):
     """Ducos' subresultant algorithm on coefficient lists of degree at least 1.
 
-    Denominators are cleared first: with a = sa * A and b = sb * B integral,
-    res(a, b) = sa^deg(b) * sb^deg(a) * res(A, B).  One pseudo-remainder
-    starts the sequence; every later subresultant comes from
-    :func:`_ducos_reduction`, and each regular subresultant S_e and the final
-    resultant from :func:`_lazard`.  The sign follows the subresultant PRS:
-    it flips whenever two consecutive degrees are both odd.
+    One pseudo-remainder starts the sequence; every later subresultant comes
+    from :func:`_ducos_reduction`, and each regular subresultant S_e and the
+    final resultant from :func:`_lazard`.  The sign follows the subresultant
+    PRS: it flips whenever two consecutive degrees are both odd.
     """
     kernel = _Kernel(a[0].table)
-    sa, p = kernel.pack(a)
-    sb, q = kernel.pack(b)
-    scale = sa ** (len(b) - 1) * sb ** (len(a) - 1)
+    p, q = kernel.pack(a), kernel.pack(b)
+    sign = 1
     if len(p) < len(q):
         p, q = q, p
     elif (len(p) - 1) % 2 == 1 and (len(q) - 1) % 2 == 1:
-        scale = -scale
+        sign = -sign
     s = kernel.pow(q[-1], len(p) - len(q))
     p, q = q, _trim(_prem(p, q, kernel))
     while len(q) > 1:
@@ -142,12 +138,13 @@ def _resultant_ducos(a, b):
             lift = _lazard(q[-1], s, delta - 1, kernel)
             z = [kernel.dot_div([(c, lift)], s) for c in q]
         if (len(p) - 1) % 2 == 1 and (len(q) - 1) % 2 == 1:
-            scale = -scale
+            sign = -sign
         p, q = z, _trim(_ducos_reduction(p, q, z, s, kernel))
         s = p[-1]
     if not q:
         return kernel.poly({})
-    return kernel.poly(_lazard(q[0], s, len(p) - 1, kernel), scale)
+    res = kernel.poly(_lazard(q[0], s, len(p) - 1, kernel))
+    return res if sign == 1 else -res
 
 
 def _lazard(x, y, n, kernel):

@@ -12,7 +12,7 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import upoly
@@ -77,10 +77,6 @@ def _var(table, name):
     return WeightedPolynomial.variable(table, name)
 
 
-def _const(table, value):
-    return WeightedPolynomial.constant(table, value)
-
-
 # -- the family S(t) -----------------------------------------------------------
 
 
@@ -128,7 +124,7 @@ def big_r_symbolic() -> WeightedPolynomial:
     i.e. (4 g2^3 + 27 g3^2) / x0^8, normalized with leading coefficient 27."""
     g2v, g3v = dual_polynomials()
     x0 = _var(TX_TABLE, "x0")
-    return _const(TX_TABLE, 4) * x0 * g2v ** 3 + _const(TX_TABLE, 27) * g3v ** 2
+    return 4 * x0 * g2v ** 3 + 27 * g3v ** 2
 
 
 @lru_cache(maxsize=1)
@@ -153,19 +149,16 @@ def printed_d90() -> WeightedPolynomial:
     return parse(_load_text("d90.poly"), T_TABLE)
 
 
-def _content_and_sign(p: WeightedPolynomial) -> Fraction:
-    """Rational content of p, signed so p/content has a positive leading term."""
-    num = gcd(*(c.numerator for c in p.terms.values()))
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    content = Fraction(num, den)
-    lead_coeff = p.leading_term()[1]
-    return -content if lead_coeff < 0 else content
+def _content_and_sign(p: WeightedPolynomial) -> int:
+    """Content of p, signed so p / content has a positive leading term."""
+    content = gcd(*p.terms.values())
+    return -content if p.leading_term()[1] < 0 else content
 
 
 class DiscFactorization(NamedTuple):
     """disc_{x0}(R) = c * r^3 * d90 with the fitted constant c."""
 
-    c: Fraction
+    c: int
     disc: WeightedPolynomial
     d90_derived: WeightedPolynomial
 
@@ -181,7 +174,7 @@ def disc_factorization() -> DiscFactorization:
     disc = discriminant(big_r_symbolic(), "x0").change_table(T_TABLE)
     quotient = disc.exact_div(r_poly().change_table(T_TABLE) ** 3)
     c = _content_and_sign(quotient)
-    derived = quotient / c
+    derived = quotient.exact_div(c)
     return DiscFactorization(c=c, disc=disc, d90_derived=derived)
 
 
@@ -213,19 +206,16 @@ def pit_disc_factorization(cfg: PitConfig):
     r = r_poly()
     d90 = printed_d90()
     big_r = big_r_symbolic()
-    n = big_r.degree_in("x0")
     c_fit = None
     used = 0
     for trial in range(cfg.trials):
         t_point = sample_point(cfg, trial, 5)
         r_val = r.evaluate(t_point)
         d_val = d90.evaluate(t_point)
-        coeffs, lam = big_r.univariate_at("x0", t_point + (0,))
+        coeffs = big_r.univariate_at("x0", t_point + (0,))
         if coeffs[-1] == 0:
             continue
-        # the coefficients are coeffs / lam, and disc(lam * f) = lam^(2n - 2)
-        # * disc(f) for f of degree n
-        disc_val = Fraction(upoly.discriminant(tuple(coeffs)), lam ** (2 * n - 2))
+        disc_val = upoly.discriminant(tuple(coeffs))
         rhs = r_val ** 3 * d_val
         used += 1
         if rhs == 0:
@@ -249,10 +239,8 @@ def build_scd_symbolic():
     x1 = _var(CDX_TABLE, "x1")
     a, b = _var(CDX_TABLE, "alpha"), _var(CDX_TABLE, "beta")
     g, d = _var(CDX_TABLE, "gamma"), _var(CDX_TABLE, "delta")
-    three = _const(CDX_TABLE, 3)
-    two = _const(CDX_TABLE, 2)
-    g2 = -(three * a * x1 ** 4) - g * x1 ** 5
-    g3 = x1 ** 5 - two * b * x1 ** 6 + d * x1 ** 7
+    g2 = -(3 * a * x1 ** 4) - g * x1 ** 5
+    g3 = x1 ** 5 - 2 * b * x1 ** 6 + d * x1 ** 7
     return g2, g3
 
 
@@ -264,8 +252,8 @@ def cd_r0_poly() -> WeightedPolynomial:
     x1 = _var(CDX_TABLE, "x1")
     a, b = _var(CDX_TABLE, "alpha"), _var(CDX_TABLE, "beta")
     g, d = _var(CDX_TABLE, "gamma"), _var(CDX_TABLE, "delta")
-    f = _const(CDX_TABLE, 3) * a + g * x1
-    q = -_const(CDX_TABLE, 1) + _const(CDX_TABLE, 2) * b * x1 - d * x1 ** 2
+    f = 3 * a + g * x1
+    q = -1 + 2 * b * x1 - d * x1 ** 2
     res = resultant(f, q, "x1").change_table(CD_TABLE)
     if res.coefficient((0, 0, 2, 0)) < 0:
         res = -res
@@ -276,7 +264,7 @@ class CdDiscFactorization(NamedTuple):
     """disc_{x1}(R0) = c' * gamma^3 * r0^3 * d0 with the fitted constant c',
     where ``disc`` is taken in the resultant normalization res(R0, R0')."""
 
-    c_prime: Fraction
+    c_prime: int
     r0: WeightedPolynomial
     d0: WeightedPolynomial
     disc: WeightedPolynomial
@@ -293,7 +281,7 @@ def cd_disc_factorization() -> CdDiscFactorization:
     """
     g2, g3 = build_scd_symbolic()
     x1 = _var(CDX_TABLE, "x1")
-    big = _const(CDX_TABLE, 4) * g2 ** 3 + _const(CDX_TABLE, 27) * g3 ** 2
+    big = 4 * g2 ** 3 + 27 * g3 ** 2
     r0_big = big.exact_div(x1 ** 10)
     if r0_big.degree_in("x1") != 5:
         raise ConsistencyFailure("R0 is not a quintic in x1")
@@ -302,7 +290,7 @@ def cd_disc_factorization() -> CdDiscFactorization:
     r0 = cd_r0_poly()
     quotient = res.exact_div(gamma ** 3).exact_div(r0 ** 3)
     c_prime = _content_and_sign(quotient)
-    d0 = quotient / c_prime
+    d0 = quotient.exact_div(c_prime)
     for poly, weight, label in ((r0, 20, "r0"), (d0, 60, "d0")):
         if not (poly.is_weighted_homogeneous() and poly.weighted_degree() == weight):
             raise ConsistencyFailure(f"{label} is not homogeneous of weight {weight}")
@@ -446,10 +434,9 @@ def irreducibility_certificate(
             for i in range(len(poly.table) - 1)
         ]
         point = values[:var_index] + [0] + values[var_index:]
-        coeffs, den = poly.univariate_at(var, point)
-        if any(c % den for c in coeffs) or coeffs[degree] == 0:
+        coeffs = poly.univariate_at(var, point)
+        if coeffs[degree] == 0:
             continue
-        coeffs = [c // den for c in coeffs]
         for p in _CERTIFICATE_PRIMES:
             if coeffs[degree] % p == 0:
                 continue

@@ -53,12 +53,14 @@ def _mat_vec(rows, v):
 
 
 def _integral(v):
-    """``(d, w)`` with ``w`` an integer vector and ``v = w / d``."""
+    """``(d, w)`` with ``w`` an integer vector and ``v = w / d``, for entries
+    of type ``int`` or ``Fraction``."""
     if all(type(x) is int for x in v):
         return 1, v
-    v = [Fraction(x) for x in v]
+    if any(type(x) not in (int, Fraction) for x in v):
+        raise ValueError("vector entries must be int or Fraction")
     d = math.lcm(*(x.denominator for x in v))
-    return d, [int(x * d) for x in v]
+    return d, [x.numerator * (d // x.denominator) for x in v]
 
 
 class GramLattice:

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import upoly
-from .wpoly import VariableTable, WeightedPolynomial, parse, render
+from .wpoly import VariableTable, parse_terms, render_terms
 
 INFINITY = math.inf
 
@@ -378,8 +378,7 @@ def _classify(model: WeierstrassModel) -> FiberConfiguration:
 
 
 def _render(coeffs):
-    return render(WeightedPolynomial.from_terms(
-        _X0_TABLE, {(i,): c for i, c in enumerate(coeffs) if c}))
+    return render_terms(_X0_TABLE, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def is_k3(model: WeierstrassModel) -> bool:
@@ -397,17 +396,14 @@ def is_k3(model: WeierstrassModel) -> bool:
 # -- JSON interchange ----------------------------------------------------------
 
 
-def _coeffs_from_poly(p: WeightedPolynomial):
-    view = p.univariate_view("x0")
-    return tuple(c.constant_value() for c in view)
-
-
 def model_to_json(model: WeierstrassModel) -> str:
     return json.dumps({"g2": _render(model.g2), "g3": _render(model.g3)})
 
 
 def model_from_json(text: str, height: int = 2) -> WeierstrassModel:
     obj = json.loads(text)
-    g2 = parse(obj["g2"], _X0_TABLE)
-    g3 = parse(obj["g3"], _X0_TABLE)
-    return WeierstrassModel(_coeffs_from_poly(g2), _coeffs_from_poly(g3), height)
+    coeffs = []
+    for key in ("g2", "g3"):
+        terms = parse_terms(obj[key], _X0_TABLE)
+        coeffs.append([terms.get((e,), 0) for e in range(max(terms, default=(0,))[0] + 1)])
+    return WeierstrassModel(*coeffs, height)

@@ -1,22 +1,22 @@
-"""Sparse multivariate polynomials over exact rationals with weighted grading.
+"""Sparse multivariate polynomials over the integers with weighted grading.
 
 A ``WeightedPolynomial`` stores its terms as a map from exponent tuples to
-nonzero ``Fraction`` coefficients, so equal polynomials always have identical
-term maps.  The canonical term order is descending weighted degree, ties
-broken by descending lexicographic exponent order in declared variable order.
+nonzero ``int`` coefficients, so equal polynomials always have identical term
+maps.  The canonical term order is descending weighted degree, ties broken by
+descending lexicographic exponent order in declared variable order.
 
-Multiplication, powers and exact division run on a private integer kernel:
-each operand is converted once into a scale ``Fraction`` times a map from
-packed monomial to ``int`` (see ``_Kernel``), and the result is converted back
-once, so ``Fraction`` arithmetic appears only at these boundaries.  A large
-sum of products of weighted-homogeneous operands divided exactly, as in each
-step of the subresultant chain of the weight-180 discriminant, is formed from
-big-int products with one variable packed into each coefficient
-(``_Kernel.dot_div``).
+Multiplication, powers and exact division in Z[t] run on a private integer
+kernel: each operand is converted once into a map from packed monomial to
+``int`` (see ``_Kernel``).  A large sum of products of weighted-homogeneous
+operands divided exactly, as in each step of the subresultant chain of the
+weight-180 discriminant, is formed from big-int products with one variable
+packed into each coefficient (``_Kernel.dot_div``).
 
-Evaluation runs on an integer form that each polynomial builds at most once
-(see ``WeightedPolynomial.evaluate``).  The form is kept with the polynomial,
-which is sound because no operation mutates ``terms`` after construction.
+Rationals appear only in evaluation, which takes a rational point, and in the
+text format, whose ``num/den`` coefficients ``parse_terms`` reads and
+``render_terms`` writes.  Evaluation runs on an index form that each
+polynomial builds at most once and keeps, which is sound because no operation
+mutates ``terms`` after construction.
 
 Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 """
@@ -26,7 +26,6 @@ import re
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
-from math import gcd, lcm
 from operator import lshift, mul, or_
 
 # Re-exported, not used here: benchmarks/tracing.py looks factor_mod_p up in
@@ -56,6 +55,11 @@ class NotDivisibleError(ArithmeticError):
     def __init__(self, remainder: "WeightedPolynomial"):
         super().__init__("polynomial division is not exact")
         self.remainder = remainder
+
+
+def _check_coefficient(c):
+    if type(c) is not int:
+        raise ValueError(f"polynomial coefficients must be int, got {c!r}")
 
 
 class VariableTable:
@@ -96,10 +100,10 @@ class VariableTable:
 
 
 class WeightedPolynomial:
-    """A sparse polynomial over Q, graded by the table's variable weights.
+    """A sparse polynomial over Z, graded by the table's variable weights.
 
     ``terms`` is never mutated once the polynomial is built: every operation
-    returns a new polynomial, and the integer form cached in ``_integral``
+    returns a new polynomial, and the index form cached in ``_integral``
     relies on that.
     """
 
@@ -117,29 +121,27 @@ class WeightedPolynomial:
         return WeightedPolynomial(table, {})
 
     @staticmethod
-    def constant(table: VariableTable, value) -> "WeightedPolynomial":
-        c = Fraction(value)
-        if c == 0:
-            return WeightedPolynomial.zero(table)
-        return WeightedPolynomial(table, {(0,) * len(table): c})
+    def constant(table: VariableTable, value: int) -> "WeightedPolynomial":
+        _check_coefficient(value)
+        return WeightedPolynomial(table, {(0,) * len(table): value} if value else {})
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "WeightedPolynomial":
         i = table.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(table)))
-        return WeightedPolynomial(table, {exp: Fraction(1)})
+        return WeightedPolynomial(table, {exp: 1})
 
     @staticmethod
     def from_terms(table: VariableTable, mapping) -> "WeightedPolynomial":
         terms = {}
         n = len(table)
         for exp, coeff in dict(mapping).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp!r}")
-            c = Fraction(coeff)
-            if c != 0:
-                terms[exp] = c
+            _check_coefficient(coeff)
+            if coeff:
+                terms[exp] = coeff
         return WeightedPolynomial(table, terms)
 
     # -- basic queries -----------------------------------------------------
@@ -150,13 +152,13 @@ class WeightedPolynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return next(iter(self.terms.values()), 0)
 
-    def coefficient(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coefficient(self, exponents) -> int:
+        return self.terms.get(tuple(exponents), 0)
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -188,10 +190,6 @@ class WeightedPolynomial:
         exp = max(self.terms, key=lambda e: (wd(e), e))
         return exp, self.terms[exp]
 
-    def sorted_terms(self):
-        wd = self.table.weighted_degree_of
-        return sorted(self.terms.items(), key=lambda kv: (wd(kv[0]), kv[0]), reverse=True)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_table(self, other):
@@ -201,7 +199,7 @@ class WeightedPolynomial:
     def _coerce(self, other):
         if isinstance(other, WeightedPolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             return WeightedPolynomial.constant(self.table, other)
         return NotImplemented
 
@@ -248,39 +246,30 @@ class WeightedPolynomial:
             return NotImplemented
         self._check_table(other)
         kernel = _Kernel(self.table)
-        scale, (a, b) = kernel.pack([self, other])
-        return kernel.poly(kernel.mul(a, b), scale * scale)
+        return kernel.poly(kernel.mul(*kernel.pack([self, other])))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        c = Fraction(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return WeightedPolynomial(self.table, {e: v / c for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         kernel = _Kernel(self.table)
-        scale, (base,) = kernel.pack([self])
-        return kernel.poly(kernel.pow(base, k), scale ** k)
+        (base,) = kernel.pack([self])
+        return kernel.poly(kernel.pow(base, k))
 
     # -- evaluation and substitution ---------------------------------------
 
     def _integer_form(self):
-        """(den, tops, coeffs, indices), built on first use.
+        """(tops, indices), built on first use.
 
-        ``coeffs[k] / den`` is the coefficient of the k-th term of ``terms``,
-        in dict order, with ``coeffs[k]`` an ``int``.  ``tops`` holds the top
-        exponent of each variable.  ``indices[k]`` lists the term's nonzero
-        (variable, exponent) pairs as positions ``offset[variable] +
-        exponent`` in the concatenated power rows that ``_power_rows`` builds
-        for these ``tops``.
+        ``tops`` holds the top exponent of each variable.  ``indices[k]``
+        lists the nonzero (variable, exponent) pairs of the k-th term of
+        ``terms``, in dict order, as positions ``offset[variable] + exponent``
+        in the concatenated power rows that ``_power_rows`` builds for these
+        ``tops``.
         """
         form = self._integral
         if form is None:
-            den = lcm(*[c.denominator for c in self.terms.values()])
             tops = [0] * len(self.table)
             for exp in self.terms:
                 tops = [max(t, e) for t, e in zip(tops, exp)]
@@ -288,55 +277,46 @@ class WeightedPolynomial:
             for top in tops:
                 offsets.append(end)
                 end += top + 1
-            coeffs, indices = [], []
-            for exp, c in self.terms.items():
-                coeffs.append(c.numerator * (den // c.denominator))
-                indices.append([o + e for o, e in zip(offsets, exp) if e])
-            form = self._integral = (den, tops, coeffs, indices)
+            indices = [[o + e for o, e in zip(offsets, exp) if e] for exp in self.terms]
+            form = self._integral = (tops, indices)
         return form
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as one rational per variable.
 
-        Runs on the integer form, built once per polynomial: ``int``
-        coefficients over a common denominator, and one row of powers per
-        coordinate.  At an integer point the sum is all ``int`` and only the
-        final division builds a ``Fraction``.
+        Runs on the index form, built once per polynomial, and one row of
+        powers per coordinate.  At an integer point the sum is all ``int``
+        and only the result is made a ``Fraction``.
         """
         if len(point) != len(self.table):
             raise ValueError("point length does not match variable table")
-        den, tops, coeffs, indices = self._integer_form()
+        tops, indices = self._integer_form()
         rows = _power_rows(tops, point)
         total = 0
-        for c, index in zip(coeffs, indices):
+        for c, index in zip(self.terms.values(), indices):
             for k in index:
                 c *= rows[k]
             total += c
-        return Fraction(total, den)
+        return Fraction(total)
 
     def univariate_at(self, var: str, point):
-        """(numerators, den): ``univariate_view(var)`` evaluated at ``point``,
-        each coefficient as ``numerators[k] / den``, in one pass.
+        """``univariate_view(var)`` evaluated at ``point``, in one pass.
 
         ``point`` holds one rational per variable; the entry for ``var`` is
-        ignored.  The zero polynomial gives ``([], 1)``.
+        ignored.  At an integer point every coefficient is an ``int``.  The
+        zero polynomial gives ``[]``.
         """
         i = self.table.index(var)
         if len(point) != len(self.table):
             raise ValueError("point length does not match variable table")
-        den, tops, coeffs, indices = self._integer_form()
+        tops, indices = self._integer_form()
         rows = _power_rows(tops, point, skip=i)
-        out = [0] * (tops[i] + 1) if coeffs else []
-        for c, index, exp in zip(coeffs, indices, self.terms):
+        out = [0] * (tops[i] + 1) if indices else []
+        for (exp, c), index in zip(self.terms.items(), indices):
             for k in index:
                 c *= rows[k]
             out[exp[i]] += c
-        if not all([type(c) is int for c in out]):
-            # a coordinate with a denominator left Fraction entries
-            lam = lcm(*[c.denominator for c in out])
-            out = [c.numerator * (lam // c.denominator) for c in out]
-            den *= lam
-        return out, den
+        return out
 
     def substitute(self, assignments: dict) -> "WeightedPolynomial":
         """Compose with polynomial assignments for some of the variables.
@@ -403,22 +383,11 @@ class WeightedPolynomial:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, divisor: "WeightedPolynomial") -> "WeightedPolynomial":
-        """Exact quotient self / divisor; raises NotDivisibleError otherwise."""
+        """Exact quotient self / divisor in Z[t]; raises NotDivisibleError otherwise."""
         divisor = self._coerce(divisor)
         self._check_table(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
         kernel = _Kernel(self.table)
-        scale, (num,) = kernel.pack([self])
-        den_scale, (den,) = kernel.pack([divisor])
-        # A primitive integral divisor keeps the quotient integral (Gauss's lemma).
-        content = gcd(*den.values())
-        den = {key: c // content for key, c in den.items()}
-        try:
-            quotient = kernel.exact_div(num, den)
-        except NotDivisibleError as exc:
-            raise NotDivisibleError(exc.remainder * scale) from None
-        return kernel.poly(quotient, scale / (den_scale * content))
+        return kernel.poly(kernel.exact_div(*kernel.pack([self, divisor])))
 
     def univariate_view(self, var: str):
         """Coefficient list indexed by the power of ``var``.
@@ -516,9 +485,7 @@ class _Kernel:
         self.guards = sum(_EXPONENT_LIMIT << s for s in self.shifts)
 
     def pack(self, polys):
-        """(scale, values) with ``polys[i] == scale * values[i]`` and each
-        value integral; ``scale`` is 1 over the common denominator."""
-        den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        """The kernel value of each polynomial, in a list."""
         shifts = self.shifts
         values = []
         for p in polys:
@@ -526,19 +493,15 @@ class _Kernel:
             for exp, c in p.terms.items():
                 if exp and max(exp) >= _EXPONENT_LIMIT:
                     raise OverflowError(f"exponent in {exp} exceeds the packing width")
-                value[sum(map(lshift, exp, shifts))] = c.numerator * (den // c.denominator)
+                value[sum(map(lshift, exp, shifts))] = c
             values.append(value)
-        return Fraction(1, den), values
+        return values
 
-    def poly(self, value, scale=Fraction(1)) -> WeightedPolynomial:
-        """The polynomial ``scale * value``."""
+    def poly(self, value) -> WeightedPolynomial:
+        """The polynomial of a kernel value."""
         mask = _EXPONENT_LIMIT - 1
         shifts = self.shifts
-        num, den = scale.numerator, scale.denominator
-        terms = {}
-        for key, c in value.items():
-            exp = tuple((key >> s) & mask for s in shifts)
-            terms[exp] = Fraction(c) if num == den == 1 else Fraction(c * num, den)
+        terms = {tuple((key >> s) & mask for s in shifts): c for key, c in value.items()}
         return WeightedPolynomial(self.table, terms)
 
     @staticmethod
@@ -781,8 +744,12 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse(text: str, table: VariableTable) -> WeightedPolynomial:
-    """Parse the polynomial text grammar into canonical form."""
+def parse_terms(text: str, table: VariableTable) -> dict:
+    """Parse the polynomial text grammar into its summed term map.
+
+    A coefficient is an ``int``, or a ``Fraction`` where ``num/den`` is
+    written; like terms add up, and a term that sums to zero is left out.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
@@ -792,7 +759,7 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
 
     def parse_term(i, sign):
         # optional coefficient
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * n
         saw_anything = False
         if i < len(tokens) and tokens[i][0] == "int":
@@ -857,18 +824,29 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
             raise PolynomialSyntaxError("expected '+' or '-'", pos)
         sign = -1 if val == "-" else 1
         i += 1
+    return terms
+
+
+def parse(text: str, table: VariableTable) -> WeightedPolynomial:
+    """The polynomial ``text`` writes; raises ValueError on a non-integer coefficient."""
+    terms = parse_terms(text, table)
+    for c in terms.values():
+        _check_coefficient(c)
     return WeightedPolynomial(table, terms)
 
 
-def render(p: WeightedPolynomial) -> str:
-    """Canonical text: descending weighted degree, explicit '*', no '^1'."""
-    if p.is_zero():
+def render_terms(table: VariableTable, terms) -> str:
+    """Canonical text of a term map with ``int`` or ``Fraction``
+    coefficients: descending weighted degree, explicit '*', no '^1'."""
+    if not terms:
         return "0"
+    wd = table.weighted_degree_of
     pieces = []
-    for idx, (exp, coeff) in enumerate(p.sorted_terms()):
+    ordered = sorted(terms.items(), key=lambda kv: (wd(kv[0]), kv[0]), reverse=True)
+    for idx, (exp, coeff) in enumerate(ordered):
         mag = abs(coeff)
         factors = []
-        for name, e in zip(p.table.names, exp):
+        for name, e in zip(table.names, exp):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -882,3 +860,7 @@ def render(p: WeightedPolynomial) -> str:
         else:
             pieces.append((" + " if coeff > 0 else " - ") + body)
     return "".join(pieces)
+
+
+def render(p: WeightedPolynomial) -> str:
+    return render_terms(p.table, p.terms)

@@ -24,6 +24,14 @@ CASES = {
     "lattices_bound3.json": ["lattices", "--bound", "3"],
     "lattices_a_msy.json": ["lattices", "--lattice", str(GOLDEN / "a_msy_gram.json"),
                             "--bound", "2"],
+    "disc_factor.json": ["disc-factor"],
+    "disc_factor_pit.json": ["disc-factor", "--pit"],
+    "d90_check.json": ["d90-check"],
+    "cd.json": ["cd"],
+    "fibers.json": ["fibers"],
+    "fibers_t.json": ["fibers", "--t", "1/2,3,-1/3,2,5"],
+    "irreducible_seed3.json": ["irreducible", "--seed", "3", "--trials", "20"],
+    "dims_120.json": ["dims", "--max-weight", "120"],
 }
 
 

@@ -190,7 +190,7 @@ def test_cd_wrong_factorization_fails(monkeypatch, capsys):
 
 def test_cd_wrong_constant_fails(monkeypatch, capsys):
     true = families.cd_disc_factorization()
-    wrong = true._replace(c_prime=true.c_prime / 4, d0=4 * true.d0)
+    wrong = true._replace(c_prime=true.c_prime // 4, d0=4 * true.d0)
     monkeypatch.setattr(families, "cd_disc_factorization", lambda: wrong)
     assert main(["cd", "--json"]) == 1
     statuses = _statuses(capsys)

@@ -111,6 +111,13 @@ def test_cd_disc_factorization():
     assert fact.d0.term_count() == 24
 
 
+def test_factorizations_are_over_the_integers():
+    fact, cd = families.disc_factorization(), cd_disc_factorization()
+    assert type(fact.c) is int and type(cd.c_prime) is int
+    for poly in (fact.disc, fact.d90_derived, printed_d90(), r_poly(), cd.r0, cd.d0):
+        assert poly.terms and all(type(c) is int for c in poly.terms.values())
+
+
 def test_cd_specialize_check():
     ok, witness = cd_specialize_check()
     assert ok and witness is None
@@ -169,17 +176,6 @@ def test_irreducibility_certificate_failures():
     cert = irreducibility_certificate(parse("x^2 + a*x + x + a", table), "x", cfg)
     assert not cert.certified
     assert (cert.reason, cert.trials) == ("budget exhausted", 4)
-
-
-def test_irreducibility_certificate_skips_non_integral_specializations(monkeypatch):
-    # every specialization of a + 1/2 at an integer a leaves a denominator
-    table = VariableTable(("a", "x"), (1, 1))
-    primes = []
-    monkeypatch.setattr(families, "factor_mod_p",
-                        lambda coeffs, p: primes.append(p) or factor_mod_p(coeffs, p))
-    cert = irreducibility_certificate(parse("x^2 + a + 1/2", table), "x", PitConfig(trials=7))
-    assert cert == IrreducibilityCertificate(False, trials=7, reason="budget exhausted")
-    assert primes == []
 
 
 def test_irreducibility_certificate_skips_primes_dividing_the_leading_coefficient(monkeypatch):

@@ -442,13 +442,13 @@ def test_classification_never_runs_a_remainder_on_two_multiples_of_x0(monkeypatc
 
 def test_classification_renders_no_place(monkeypatch):
     calls = []
-    render = weierstrass.render
+    render_terms = weierstrass.render_terms
 
-    def recording(p):
-        calls.append(p)
-        return render(p)
+    def recording(table, terms):
+        calls.append(terms)
+        return render_terms(table, terms)
 
-    monkeypatch.setattr(weierstrass, "render", recording)
+    monkeypatch.setattr(weierstrass, "render_terms", recording)
     points = [entry["point"] for entry in sample_points()] + random_certified_points(20)
     for point in points:
         fiber_configuration(minimalize_everywhere(build_s(point)))

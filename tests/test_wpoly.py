@@ -20,6 +20,7 @@ from k3verify.wpoly import (
     WeightedPolynomial,
     _Kernel,
     parse,
+    parse_terms,
     render,
 )
 
@@ -78,7 +79,7 @@ def test_parse_matches_a_sum_of_its_terms():
         pieces = []
         for _ in range(rng.randint(1, 12)):
             exp = tuple(rng.randint(0, 2) for _ in T.names)
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            coeff = rng.randint(-4, 4) * rng.randint(1, 3)
             monomial = "*".join(f"{n}^{e}" for n, e in zip(T.names, exp) if e)
             body = f"{abs(coeff)}*{monomial}" if monomial else str(abs(coeff))
             pieces.append(("-" if coeff < 0 else "+", body))
@@ -99,9 +100,35 @@ def test_parse_render_roundtrip():
 
 
 def test_parse_rational_and_signs():
-    p = parse("-1/2*t4 + t6 - 3*t4", T)
-    assert p.coefficient((1, 0, 0, 0, 0)) == Fraction(-7, 2)
-    assert p.coefficient((0, 1, 0, 0, 0)) == 1
+    terms = parse_terms("-1/2*t4 + t6 - 3*t4", T)
+    assert terms[(1, 0, 0, 0, 0)] == Fraction(-7, 2)
+    assert terms[(0, 1, 0, 0, 0)] == 1
+
+
+def test_parse_takes_integer_coefficients_only():
+    assert parse_terms("1/2*t4", T) == {(1, 0, 0, 0, 0): Fraction(1, 2)}
+    for text in ("1/2*t4", "2/2*t4", "1/2*t4 + 1/2*t4"):
+        with pytest.raises(ValueError):
+            parse(text, T)
+    assert all(type(c) is int for c in parse("3*t4 - t6 + 2", T).terms.values())
+
+
+def test_coefficients_must_be_int():
+    for bad in (Fraction(1, 2), Fraction(2, 2), 1.0, True):
+        with pytest.raises(ValueError):
+            WeightedPolynomial.from_terms(T, {(1, 0, 0, 0, 0): bad})
+        with pytest.raises(ValueError):
+            WeightedPolynomial.constant(T, bad)
+    assert WeightedPolynomial.constant(T, 0).is_zero()
+    assert WeightedPolynomial.from_terms(T, {(1, 0, 0, 0, 0): 0}).is_zero()
+
+
+def test_exponents_must_be_non_negative_int():
+    xy = VariableTable(("x", "y"), (1, 1))
+    for exp in ((1.5, 0), ("2", True), (True, 0), (-1, 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            WeightedPolynomial.from_terms(xy, {exp: 1})
+    assert WeightedPolynomial.from_terms(xy, {(2, 0): 3}).terms == {(2, 0): 3}
 
 
 def test_parse_errors():
@@ -209,11 +236,15 @@ def test_exact_div():
         parse("t4", T).exact_div(parse("t6", T))
 
 
-def test_exact_div_rational_quotient():
+def test_exact_div_decides_divisibility_in_z():
+    # the quotients 2/3 and 1/2 are not in Z[t]
     t4 = WeightedPolynomial.variable(T, "t4")
-    assert (2 * t4).exact_div(3 * t4) == Fraction(2, 3)
-    p = parse("1/2*t4^2 - 3/4*t6", T)
-    q = parse("2/3*t10 + 5", T)
+    for divisor in (3 * t4, 4 * t4):
+        with pytest.raises(NotDivisibleError):
+            (2 * t4).exact_div(divisor)
+    assert (2 * t4).exact_div(-2 * t4) == -1
+    p = parse("2*t4^2 - 3*t6", T)
+    q = parse("6*t10 + 5", T)
     assert (p * q).exact_div(q) == p
     assert (p * q).exact_div(p) == q
 
@@ -222,7 +253,8 @@ def test_exact_div_remainder_witness():
     cases = (
         ("t4 + 1", "t4 - t6"),
         ("t4^2 + t6", "t4"),
-        ("1/2*t4", "t4^2"),
+        ("3*t4", "t4^2"),
+        ("2*t4", "4*t4"),
         ("4*t4^2*t6 + 4*t4*t6^2", "3*t4^2*t6 + 4*t4*t6^2"),
         ("2*t4*t6", "4*t4 + 1"),
     )
@@ -280,7 +312,7 @@ def _schoolbook_add(a, b):
 
 def _poly_strategy(st):
     small = VariableTable(("u", "v", "w"), (1, 2, 3))
-    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    coeff = st.integers(-20, 20)
     terms = st.dictionaries(
         st.tuples(*(st.integers(0, 4) for _ in small.names)), coeff, max_size=6
     )
@@ -304,7 +336,7 @@ def test_kernel_ring_laws_property():
         assert p ** 3 == WeightedPolynomial(
             p.table, _schoolbook_mul(_schoolbook_mul(p.terms, p.terms), p.terms)
         )
-        assert all(isinstance(c, Fraction) and c for c in (p * q).terms.values())
+        assert all(type(c) is int and c for c in (p * q).terms.values())
 
     check()
 
@@ -360,10 +392,10 @@ def test_integer_form_evaluate_property():
         for var in p.table.names:
             view = p.univariate_view(var)
             for point in (first, second):
-                numerators, den = p.univariate_at(var, point)
-                assert all(type(c) is int for c in numerators)
-                assert [Fraction(c, den) for c in numerators] == [
-                    c.evaluate(point) for c in view]
+                coeffs = p.univariate_at(var, point)
+                if all(type(x) is int for x in point):
+                    assert all(type(c) is int for c in coeffs)
+                assert coeffs == [c.evaluate(point) for c in view]
 
     check()
 
@@ -374,7 +406,7 @@ def test_evaluate_checks_the_point_length():
         p.evaluate((1, 2))
     with pytest.raises(ValueError):
         p.univariate_at("t4", (1, 2))
-    assert WeightedPolynomial.zero(T).univariate_at("t4", (1,) * 5) == ([], 1)
+    assert WeightedPolynomial.zero(T).univariate_at("t4", (1,) * 5) == []
 
 
 def test_univariate_view():
@@ -517,8 +549,7 @@ def packed_divisions(monkeypatch):
 
 def _kernel_values(table, *maps):
     kernel = _Kernel(table)
-    _scale, values = kernel.pack([WeightedPolynomial.from_terms(table, m) for m in maps])
-    return kernel, values
+    return kernel, kernel.pack([WeightedPolynomial.from_terms(table, m) for m in maps])
 
 
 def _kernel_dot_div(table, pairs, d):
