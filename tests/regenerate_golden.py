@@ -1,7 +1,9 @@
 """Regenerate the pinned CLI reports under ``tests/golden/``.
 
 Each ``.json`` report there is the ``--json`` output of one command, with its
-run-time fields removed; ``test_golden.py`` compares the live output with it.
+run-time fields removed, and each ``.txt`` report the text output of one
+command, with its run-time lines removed; ``test_golden.py`` compares the live
+output with it.
 Run this only when an output changes on purpose, and name each changed key in
 CHANGES.md:
 
@@ -12,13 +14,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 from k3verify.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# report file -> arguments of ``k3verify`` (``--json`` is added)
+# report file -> arguments of ``k3verify`` (``--json`` is added for a ``.json`` file)
 CASES = {
     "all.json": ["all"],
     "lattices_bound3.json": ["lattices", "--bound", "3"],
@@ -32,14 +35,22 @@ CASES = {
     "fibers_t.json": ["fibers", "--t", "1/2,3,-1/3,2,5"],
     "irreducible_seed3.json": ["irreducible", "--seed", "3", "--trials", "20"],
     "dims_120.json": ["dims", "--max-weight", "120"],
+    "all.txt": ["all"],
 }
 
+# the "suite NAME: N ms" and "runtime: N ms" lines of a text report
+_RUN_TIME_LINE = re.compile(r"^  (?:suite \S+|runtime): \d+ ms\n", re.MULTILINE)
 
-def report(argv) -> str:
-    """The JSON report of ``k3verify argv --json`` without its run times."""
+
+def report(name: str) -> str:
+    """The report pinned as ``name``, from ``k3verify CASES[name]``, with
+    ``--json`` added for a ``.json`` name, without its run times."""
+    text = name.endswith(".txt")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main([*argv, "--json"])
+        main(CASES[name] if text else [*CASES[name], "--json"])
+    if text:
+        return _RUN_TIME_LINE.sub("", out.getvalue())
     obj = json.loads(out.getvalue())
     del obj["runtime_ms"]
     obj.pop("suite_runtime_ms", None)
@@ -47,5 +58,5 @@ def report(argv) -> str:
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_text(report(argv), encoding="utf-8")
+    for name in CASES:
+        (GOLDEN / name).write_text(report(name), encoding="utf-8")

@@ -45,6 +45,9 @@ def test_variable_tables_are_equal_and_hashed_by_value():
     assert T != VariableTable(("t4", "t6", "t10", "t12", "t20"), T.weights)
     p, q = parse("t4*t6 + 1", T), parse("t4*t6 + 1", again)
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    # only ints and polynomials compare as polynomials
+    two = WeightedPolynomial.constant(T, 2)
+    assert two == 2 and two != Fraction(2) and two != 2.0
 
 
 def test_parse_single_term():
@@ -143,6 +146,51 @@ def test_parse_zero_denominator_is_a_syntax_error():
         parse("3/0*t4", T)
     assert exc.value.position == 2
     assert isinstance(exc.value, ValueError)
+
+
+def test_parse_grammar_pinned():
+    t4, t6, t18 = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)
+    accepted = {
+        "*t4": {t4: 1},
+        "t18*": {t18: 1},
+        "t4 ** t6": {(1, 1, 0, 0, 0): 1},
+        "t4 t6": {(1, 1, 0, 0, 0): 1},
+        "2 t4": {t4: 2},
+        "+t4": {t4: 1},
+        "t4^0": {(0, 0, 0, 0, 0): 1},
+        "t4*t4^2": {(3, 0, 0, 0, 0): 1},
+        "t6\n+\tt4 ^ 2\n": {t6: 1, (2, 0, 0, 0, 0): 1},
+        "3/4*t4": {t4: Fraction(3, 4)},
+    }
+    for text, terms in accepted.items():
+        got = parse_terms(text, T)
+        assert list(got.items()) == list(terms.items()), text
+        assert [type(c) for c in got.values()] == [type(c) for c in terms.values()], text
+    rejected = {
+        "*2": (PolynomialSyntaxError, "expected a term"),
+        "2 3": (PolynomialSyntaxError, "expected '+' or '-'"),
+        "2^3": (PolynomialSyntaxError, "expected '+' or '-'"),
+        "t4 + + t6": (PolynomialSyntaxError, "expected a term"),
+        "(t4)": (PolynomialSyntaxError, "expected a term"),
+        "t4 +": (PolynomialSyntaxError, "expected a term"),
+        "3/": (PolynomialSyntaxError, "expected denominator"),
+        "t4^": (PolynomialSyntaxError, "expected exponent"),
+        # the unknown name is reported before the missing exponent
+        "x^": (UnknownVariableError, "unknown variable 'x'"),
+        "t4 + $": (PolynomialSyntaxError, "unexpected character"),
+        # an unexpected character anywhere is reported before anything else
+        "t5 + $": (PolynomialSyntaxError, "unexpected character"),
+        " \t": (PolynomialSyntaxError, "empty input"),
+    }
+    for text, (cls, message) in rejected.items():
+        with pytest.raises(cls) as exc:
+            parse_terms(text, T)
+        assert type(exc.value) is cls and str(exc.value).startswith(message + " ("), text
+    positions = {"3/0*t4": 2, "t5": 0, "t4 + $": 4, "t4 +": 4}
+    for text, position in positions.items():
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_terms(text, T)
+        assert exc.value.position == position, text
 
 
 def test_ring_ops():
