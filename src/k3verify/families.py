@@ -91,28 +91,15 @@ def build_s(point: ParameterPoint) -> WeierstrassModel:
 
 def build_s_symbolic():
     """The model coefficients (g2, g3) as polynomials over TX_TABLE."""
+    g2v, g3v = dual_polynomials()
     x0 = _var(TX_TABLE, "x0")
-    t4, t6 = _var(TX_TABLE, "t4"), _var(TX_TABLE, "t6")
-    t10, t12, t18 = (
-        _var(TX_TABLE, "t10"),
-        _var(TX_TABLE, "t12"),
-        _var(TX_TABLE, "t18"),
-    )
-    g2 = t4 * x0 ** 4 + t10 * x0 ** 3
-    g3 = x0 ** 7 + t6 * x0 ** 6 + t12 * x0 ** 5 + t18 * x0 ** 4
-    return g2, g3
+    return x0 ** 3 * g2v, x0 ** 4 * g3v
 
 
 def dual_polynomials():
     """g2/x0^3 and g3/x0^4 of the affine model: the degree-1 and degree-3
     polynomials whose resultant is r(t)."""
-    x0 = _var(TX_TABLE, "x0")
-    t4, t6 = _var(TX_TABLE, "t4"), _var(TX_TABLE, "t6")
-    t10, t12, t18 = (
-        _var(TX_TABLE, "t10"),
-        _var(TX_TABLE, "t12"),
-        _var(TX_TABLE, "t18"),
-    )
+    t4, t6, t10, t12, t18, x0 = (_var(TX_TABLE, name) for name in TX_TABLE.names)
     g2v = t4 * x0 + t10
     g3v = x0 ** 3 + t6 * x0 ** 2 + t12 * x0 + t18
     return g2v, g3v
@@ -236,9 +223,7 @@ def pit_disc_factorization(cfg: PitConfig):
 def build_scd_symbolic():
     """The CD model in the x1 chart over CDX_TABLE: g2 = -3a x1^4 - g x1^5,
     g3 = x1^5 - 2b x1^6 + d x1^7."""
-    x1 = _var(CDX_TABLE, "x1")
-    a, b = _var(CDX_TABLE, "alpha"), _var(CDX_TABLE, "beta")
-    g, d = _var(CDX_TABLE, "gamma"), _var(CDX_TABLE, "delta")
+    a, b, g, d, x1 = (_var(CDX_TABLE, name) for name in CDX_TABLE.names)
     g2 = -(3 * a * x1 ** 4) - g * x1 ** 5
     g3 = x1 ** 5 - 2 * b * x1 ** 6 + d * x1 ** 7
     return g2, g3
@@ -249,9 +234,7 @@ def cd_r0_poly() -> WeightedPolynomial:
     """r0 = 9 a^2 d + 6 a b g + g^2, the resultant of the classical-form
     coefficient polynomials 3a + g x1 and -1 + 2b x1 - d x1^2 (sign normalized
     so the g^2 coefficient is +1)."""
-    x1 = _var(CDX_TABLE, "x1")
-    a, b = _var(CDX_TABLE, "alpha"), _var(CDX_TABLE, "beta")
-    g, d = _var(CDX_TABLE, "gamma"), _var(CDX_TABLE, "delta")
+    a, b, g, d, x1 = (_var(CDX_TABLE, name) for name in CDX_TABLE.names)
     f = 3 * a + g * x1
     q = -1 + 2 * b * x1 - d * x1 ** 2
     res = resultant(f, q, "x1").change_table(CD_TABLE)
@@ -329,19 +312,12 @@ def cd_specialize_check(substitution=None):
 
 
 def _chart_swap(p: WeightedPolynomial, bound: int) -> WeightedPolynomial:
-    """x0^bound * p(1/x0): reverse the x1-coefficients into the x0 chart."""
-    coeffs = p.univariate_view("x1")
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        new_exp = bound - i
-        if new_exp < 0:
-            raise ValueError("chart swap bound too small")
-        for exp, value in c.change_table(CD_TABLE).terms.items():
-            key = exp + (new_exp,)
-            terms[key] = terms.get(key, 0) + value
-    return WeightedPolynomial.from_terms(MIX_TABLE, terms)
+    """x0^bound * p(1/x0) over MIX_TABLE for p over CDX_TABLE: each x1^e
+    becomes x0^(bound - e)."""
+    if p.degree_in("x1") > bound:
+        raise ValueError("chart swap bound too small")
+    terms = {exp[:-1] + (bound - exp[-1],): c for exp, c in p.terms.items()}
+    return WeightedPolynomial(MIX_TABLE, terms)
 
 
 # -- dimension counts ------------------------------------------------------------

@@ -18,6 +18,12 @@ text format, whose ``num/den`` coefficients ``parse_terms`` reads and
 polynomial builds at most once and keeps, which is sound because no operation
 mutates ``terms`` after construction.
 
+The text format is a regular grammar, read term by term with anchored ``re``
+matches: an optional sign (required before every term but the first), an
+optional coefficient ``int`` or ``int/int``, then factors ``name`` or
+``name^int``, with ``*`` optional between them; blanks may stand anywhere
+between symbols, and every term needs a coefficient or a name.
+
 Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 """
 from __future__ import annotations
@@ -104,7 +110,8 @@ class WeightedPolynomial:
 
     ``terms`` is never mutated once the polynomial is built: every operation
     returns a new polynomial, and the index form cached in ``_integral``
-    relies on that.
+    relies on that.  Arithmetic and ``==`` take polynomials and ``int``s
+    only, so a polynomial never equals a ``Fraction`` or a ``float``.
     """
 
     __slots__ = ("table", "terms", "_integral")
@@ -217,14 +224,7 @@ class WeightedPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return WeightedPolynomial(self.table, terms)
+        return WeightedPolynomial(self.table, _Kernel.add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -235,7 +235,8 @@ class WeightedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        self._check_table(other)
+        return WeightedPolynomial(self.table, _Kernel.sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -382,12 +383,15 @@ class WeightedPolynomial:
 
     # -- division ----------------------------------------------------------
 
-    def exact_div(self, divisor: "WeightedPolynomial") -> "WeightedPolynomial":
-        """Exact quotient self / divisor in Z[t]; raises NotDivisibleError otherwise."""
-        divisor = self._coerce(divisor)
-        self._check_table(divisor)
+    def exact_div(self, divisor) -> "WeightedPolynomial":
+        """Exact quotient self / divisor in Z[t] for a polynomial or ``int``
+        divisor; raises NotDivisibleError otherwise."""
+        other = self._coerce(divisor)
+        if other is NotImplemented:
+            raise TypeError(f"cannot divide a polynomial by {type(divisor).__name__}")
+        self._check_table(other)
         kernel = _Kernel(self.table)
-        return kernel.poly(kernel.exact_div(*kernel.pack([self, divisor])))
+        return kernel.poly(kernel.exact_div(*kernel.pack([self, other])))
 
     def univariate_view(self, var: str):
         """Coefficient list indexed by the power of ``var``.
@@ -722,109 +726,63 @@ class _Kernel:
 
 # -- text format ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise PolynomialSyntaxError("unexpected character", pos)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    return tokens
+# Each pattern is matched where the last match ended and takes the blanks
+# after its symbols, so every match starts at a symbol or at the end.
+_HEAD = re.compile(r"([+-])?\s*(?:(\d+)\s*(?:(/)\s*(?:(\d+)\s*)?)?)?")  # sign, coefficient
+_FACTOR = re.compile(r"\*\s*|([A-Za-z_][A-Za-z_0-9]*)\s*(?:(\^)\s*(?:(\d+)\s*)?)?")
+_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")  # neither blank nor in a symbol
 
 
 def parse_terms(text: str, table: VariableTable) -> dict:
     """Parse the polynomial text grammar into its summed term map.
 
     A coefficient is an ``int``, or a ``Fraction`` where ``num/den`` is
-    written; like terms add up, and a term that sums to zero is left out.
+    written; like terms add up, and a term that sums to zero is left out.  A
+    stray character is reported before any other error, wherever it stands.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    stray = _STRAY.search(text)
+    if stray:
+        raise PolynomialSyntaxError("unexpected character", len(text[: stray.start()].rstrip()))
+    first = pos = len(text) - len(text.lstrip())
+    if pos == len(text):
         raise PolynomialSyntaxError("empty input", 0)
-    n = len(table)
     terms = {}
-    i = 0
-
-    def parse_term(i, sign):
-        # optional coefficient
-        coeff = sign
-        exps = [0] * n
-        saw_anything = False
-        if i < len(tokens) and tokens[i][0] == "int":
-            num = tokens[i][1]
-            i += 1
-            saw_anything = True
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "/":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    raise PolynomialSyntaxError(
-                        "expected denominator", tokens[i - 1][2]
-                    )
-                if tokens[i][1] == 0:
-                    raise PolynomialSyntaxError("zero denominator", tokens[i][2])
-                coeff *= Fraction(num, tokens[i][1])
-                i += 1
-            else:
-                coeff *= num
-        while i < len(tokens):
-            kind, val, pos = tokens[i]
-            if kind == "op" and val == "*":
-                i += 1
-                continue
-            if kind == "name":
-                try:
-                    vi = table.index(val)
-                except KeyError:
-                    raise UnknownVariableError(f"unknown variable {val!r}", pos)
-                i += 1
-                power = 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "int":
-                        raise PolynomialSyntaxError("expected exponent", pos)
-                    power = tokens[i][1]
-                    i += 1
-                exps[vi] += power
-                saw_anything = True
-                continue
-            break
-        if not saw_anything:
-            pos = tokens[i][2] if i < len(tokens) else len(tokens)
-            raise PolynomialSyntaxError("expected a term", pos)
-        return i, tuple(exps), coeff
-
-    sign = 1
-    if tokens[0][0] == "op" and tokens[0][1] in "+-":
-        sign = -1 if tokens[0][1] == "-" else 1
-        i = 1
     while True:
-        i, exp, coeff = parse_term(i, sign)
-        # like terms add up, and one that sums to zero leaves the map, as in ``__add__``
+        m = _HEAD.match(text, pos)
+        sign, num, slash, den = m.groups()
+        if pos > first and not sign:  # only the first term may go without a sign
+            raise PolynomialSyntaxError("expected '+' or '-'", pos)
+        if slash and den is None:
+            raise PolynomialSyntaxError("expected denominator", m.start(3))
+        if den and not int(den):
+            raise PolynomialSyntaxError("zero denominator", m.start(4))
+        coeff = -1 if sign == "-" else 1
+        if num:
+            coeff *= Fraction(int(num), int(den)) if den else int(num)
+        seen, exps, pos = num, [0] * len(table), m.end()
+        while m := _FACTOR.match(text, pos):
+            name, caret, power = m.groups()
+            if name:
+                try:
+                    i = table.index(name)
+                except KeyError:
+                    raise UnknownVariableError(f"unknown variable {name!r}", m.start()) from None
+                if caret and power is None:
+                    raise PolynomialSyntaxError("expected exponent", m.start())
+                exps[i] += int(power or 1)
+                seen = name
+            pos = m.end()
+        if not seen:
+            raise PolynomialSyntaxError("expected a term", pos)
+        # like terms add up, and one that sums to zero leaves the map, as in ``_Kernel.add``
+        exp = tuple(exps)
         s = terms.get(exp, 0) + coeff
         if s:
             terms[exp] = s
         else:
             terms.pop(exp, None)
-        if i >= len(tokens):
-            break
-        kind, val, pos = tokens[i]
-        if kind != "op" or val not in "+-":
-            raise PolynomialSyntaxError("expected '+' or '-'", pos)
-        sign = -1 if val == "-" else 1
-        i += 1
-    return terms
+        if pos == len(text):
+            return terms
 
 
 def parse(text: str, table: VariableTable) -> WeightedPolynomial:

@@ -127,6 +127,15 @@ def test_cd_specialize_check():
     assert diff is not None
 
 
+def test_chart_swap_reverses_the_x1_powers():
+    # g2 = -3a x1^4 - g x1^5, so x0^8 g2(1/x0) = -3a x0^4 - g x0^3
+    g2, g3 = families.build_scd_symbolic()
+    assert families._chart_swap(g2, 8) == parse("-3*alpha*x0^4 - gamma*x0^3", families.MIX_TABLE)
+    assert families._chart_swap(g3, 7).degree_in("x0") == 2
+    with pytest.raises(ValueError, match="bound too small"):
+        families._chart_swap(g3, 6)
+
+
 def test_dim_forms_examples():
     assert dim_forms(0) == 1
     assert dim_forms(2) == 0

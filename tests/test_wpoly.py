@@ -284,6 +284,14 @@ def test_exact_div():
         parse("t4", T).exact_div(parse("t6", T))
 
 
+def test_exact_div_takes_polynomials_and_ints_only():
+    p = parse("2*t4", T)
+    assert p.exact_div(2) == parse("t4", T)
+    for bad in (Fraction(1, 2), 2.0, "t4"):
+        with pytest.raises(TypeError, match=f"by {type(bad).__name__}$"):
+            p.exact_div(bad)
+
+
 def test_exact_div_decides_divisibility_in_z():
     # the quotients 2/3 and 1/2 are not in Z[t]
     t4 = WeightedPolynomial.variable(T, "t4")
