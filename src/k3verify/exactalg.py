@@ -2,9 +2,10 @@
 
 ``ExactMatrix`` holds ``int`` entries only; no floating point enters any code
 path.  The Smith normal form, the Bareiss determinant and the inertia run in
-integer arithmetic on those entries.  Matrices are immutable values and every
-kernel returns fresh matrices.  ``ExactMatrix.inverse`` is the one rational
-kernel; it is kept for the benchmark tracer, which patches it by name.
+integer arithmetic on those entries; the Smith form returns ``(d, v)``, the
+diagonal form and the column transform, as tuples of ``int`` rows.
+``ExactMatrix`` is an immutable value.  ``ExactMatrix.inverse`` is the one
+rational kernel; it is kept for the benchmark tracer, which patches it by name.
 """
 from __future__ import annotations
 
@@ -94,21 +95,17 @@ class ExactMatrix:
 
 
 def smith_normal_form(m: ExactMatrix):
-    """Smith normal form ``u m v = d`` of an integer matrix.
+    """Smith normal form ``d = u m v`` of an integer matrix.
 
-    Returns ``(d, u, v)`` with ``d`` diagonal, nonnegative, satisfying the
-    divisibility chain d1 | d2 | ..., and ``u``, ``v`` unimodular.  The pivot
-    with smallest nonzero absolute value is chosen at every stage to limit
-    entry growth.
+    Returns ``(d, v)`` as tuples of ``int`` rows: ``d`` is diagonal and
+    nonnegative with the divisibility chain d1 | d2 | ..., and ``v`` is the
+    unimodular column transform.  The unimodular row transform ``u`` is not
+    formed, since no caller reads it.  The pivot with smallest nonzero absolute
+    value is chosen at every stage to limit entry growth.
     """
     a = m.to_int_rows()
     nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -116,19 +113,11 @@ def smith_normal_form(m: ExactMatrix):
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    def add_row(dst, src, mult):
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
     def add_col(dst, src, mult):
         for row in a:
             row[dst] += mult * row[src]
         for row in v:
             row[dst] += mult * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nr, nc):
@@ -142,18 +131,18 @@ def smith_normal_form(m: ExactMatrix):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         while True:
             changed = False
             for i in range(t + 1, nr):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t] != 0:
-                        swap_rows(i, t)
+                        a[i], a[t] = a[t], a[i]
                         changed = True
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
@@ -164,7 +153,7 @@ def smith_normal_form(m: ExactMatrix):
                         changed = True
             if changed:
                 if a[t][t] < 0:
-                    negate_row(t)
+                    a[t] = [-x for x in a[t]]
                 continue
             # divisibility: the pivot must divide every remaining entry
             offender = None
@@ -177,10 +166,10 @@ def smith_normal_form(m: ExactMatrix):
                     break
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         t += 1
 
-    return tuple(ExactMatrix(tuple(map(tuple, x))) for x in (a, u, v))
+    return tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 def integer_kernel(m: ExactMatrix):
@@ -189,9 +178,9 @@ def integer_kernel(m: ExactMatrix):
     The returned vectors come from the unimodular column transform of the
     Smith normal form, so they automatically span a primitive sublattice.
     """
-    d, _u, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
-    return [tuple(row[j] for row in v.entries) for j in range(rank, m.cols)]
+    d, v = smith_normal_form(m)
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i][i] != 0)
+    return [tuple(row[j] for row in v) for j in range(rank, m.cols)]
 
 
 def inertia(m: ExactMatrix):

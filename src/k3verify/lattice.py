@@ -1,9 +1,9 @@
 """Even integral lattices: catalog, invariants, discriminant forms, reflections.
 
-A lattice is stored as its Gram matrix on a fixed basis.  Gram forms are
-evaluated in ``int``: rational vectors are scaled to integral ones first and
-the denominator is divided out once.  All invariants are exact and no
-floating point enters the module.
+A lattice is stored as its Gram matrix on a fixed basis, and its vectors are
+``int`` tuples in basis coordinates, so Gram forms are evaluated in ``int``.
+``Fraction`` enters only as the values of a discriminant form.  All invariants
+are exact and no floating point enters the module.
 """
 from __future__ import annotations
 
@@ -52,25 +52,20 @@ def _mat_vec(rows, v):
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def _integral(v):
-    """``(d, w)`` with ``w`` an integer vector and ``v = w / d``, for entries
-    of type ``int`` or ``Fraction``."""
-    if all(type(x) is int for x in v):
-        return 1, v
-    if any(type(x) not in (int, Fraction) for x in v):
-        raise ValueError("vector entries must be int or Fraction")
-    d = math.lcm(*(x.denominator for x in v))
-    return d, [x.numerator * (d // x.denominator) for x in v]
+def _check_vector(v, rank):
+    """Raise ``ValueError`` unless ``v`` holds ``rank`` entries, each an ``int``
+    (not a ``bool``)."""
+    if len(v) != rank or not {*map(type, v)} <= {int}:
+        raise ValueError(f"a lattice vector is {rank} int coordinates")
 
 
 class GramLattice:
     """Even integral lattice given by a symmetric ``int`` Gram matrix.
 
     ``int_rows`` is ``gram.entries``, the same tuple of ``int`` tuples, not a
-    copy.  ``norm`` of an ``int`` vector of the right length evaluates the
-    cached quadratic form :attr:`_form` in one pass; every other input
-    (rational or ``bool`` entries, a wrong length, an empty vector) goes
-    through ``inner``.
+    copy.  Vectors are sequences of ``rank`` ``int`` coordinates; ``inner``
+    and ``norm`` raise ``ValueError`` on any other entry or length.  ``norm``
+    evaluates the cached quadratic form :attr:`_form` in one pass.
     """
 
     def __init__(self, gram: ExactMatrix, label: str = ""):
@@ -90,17 +85,11 @@ class GramLattice:
     def det(self) -> int:
         return det_fraction_free(self.gram)
 
-    def inner(self, u, v):
-        """Bilinear form of two vectors given in basis coordinates.
-
-        An ``int`` for integral vectors, else a ``Fraction``.
-        """
-        if len(u) != self.rank or len(v) != self.rank:
-            raise ValueError("dimension mismatch")
-        du, u = _integral(u)
-        dv, v = _integral(v)
-        value = sum(map(mul, u, _mat_vec(self.int_rows, v)))
-        return value if du == dv == 1 else Fraction(value, du * dv)
+    def inner(self, u, v) -> int:
+        """Bilinear form of two ``int`` vectors given in basis coordinates."""
+        _check_vector(u, self.rank)
+        _check_vector(v, self.rank)
+        return sum(map(mul, u, _mat_vec(self.int_rows, v)))
 
     @cached_property
     def _form(self):
@@ -121,28 +110,28 @@ class GramLattice:
         coeffs, left, right = zip(*terms)
         return coeffs, itemgetter(*left), itemgetter(*right), len(self.int_rows)
 
-    def norm(self, v):
+    def norm(self, v) -> int:
         coeffs, left, right, rank = self._form
-        if len(v) == rank and {*map(type, v)} == {int}:
-            return sum(map(mul, coeffs, map(mul, left(v), right(v))))
-        return self.inner(v, v)
+        _check_vector(v, rank)
+        # the padded form indexes coordinate 0, which a rank-0 vector lacks
+        return sum(map(mul, coeffs, map(mul, left(v), right(v)))) if rank else 0
 
     @cached_property
     def dual_generators(self):
         """Generators of A*/A as ``(order, w)``: the dual vector ``w / order``.
 
-        With ``u G v = D`` the Smith normal form, column i of ``v`` divided by
-        ``d_i`` is ``G^{-1} u^{-1} e_i``; the columns with ``d_i > 1`` generate
-        the discriminant group.
+        With ``D = u G v`` the Smith normal form, for some unimodular ``u``,
+        column i of ``v`` divided by ``d_i`` is ``G^{-1} u^{-1} e_i``; the
+        columns with ``d_i > 1`` generate the discriminant group.
         """
-        d, _u, v = smith_normal_form(self.gram)
+        d, v = smith_normal_form(self.gram)
         n = self.rank
-        if any(d[i, i] == 0 for i in range(n)):
+        if any(d[i][i] == 0 for i in range(n)):
             raise DegenerateLatticeError(f"{self.label or 'lattice'} is degenerate")
         return tuple(
-            (d[i, i], tuple(v[r, i] for r in range(n)))
+            (d[i][i], tuple(row[i] for row in v))
             for i in range(n)
-            if d[i, i] > 1
+            if d[i][i] > 1
         )
 
 
@@ -493,20 +482,21 @@ def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
 
 
 class Isometry(NamedTuple):
-    """Integral isometry of a lattice with its determinant and disc action."""
+    """Integral isometry of a lattice with its determinant and disc action.
 
-    matrix: ExactMatrix
+    ``matrix`` is a tuple of ``int`` rows acting on column vectors of basis
+    coordinates."""
+
+    matrix: tuple
     det: int
     fixes_discriminant_group: bool
 
 
 def reflection(lat: GramLattice, delta) -> Isometry:
-    """Reflection z -> z + (z, delta) delta in a vector of norm -2."""
-    if lat.norm(delta) != -2:
-        raise WrongNormError(f"(delta, delta) = {lat.norm(delta)} != -2")
-    scale, delta = _integral(delta)
-    if scale != 1:
-        raise ValueError("reflection vector is not integral")
+    """Reflection z -> z + (z, delta) delta in an ``int`` vector of norm -2."""
+    norm = lat.norm(delta)
+    if norm != -2:
+        raise WrongNormError(f"(delta, delta) = {norm} != -2")
     n = lat.rank
     gd = _mat_vec(lat.int_rows, delta)
     rows = tuple(
@@ -514,12 +504,11 @@ def reflection(lat: GramLattice, delta) -> Isometry:
     )
     if _mat_mul(tuple(zip(*rows)), _mat_mul(lat.int_rows, rows)) != lat.int_rows:
         raise AssertionError("reflection failed to preserve the Gram matrix")
-    m = ExactMatrix.from_rows(rows)
     fixes = all(
         all((x - y) % d == 0 for x, y in zip(_mat_vec(rows, w), w))
         for d, w in lat.dual_generators
     )
-    return Isometry(matrix=m, det=bareiss_det(rows), fixes_discriminant_group=fixes)
+    return Isometry(matrix=rows, det=bareiss_det(rows), fixes_discriminant_group=fixes)
 
 
 def _mat_mul(a, b):
@@ -542,8 +531,8 @@ def _smith_invariants(sub_basis, n):
     basis = m.entries
     if any(len(v) != n for v in basis):
         raise ValueError("dimension mismatch")
-    d, _u, _v = smith_normal_form(m)
-    invariants = [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] != 0]
+    d, _v = smith_normal_form(m)
+    invariants = [d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i] != 0]
     if len(invariants) != len(basis):
         raise DependentBasisError("sublattice basis is linearly dependent")
     return basis, invariants

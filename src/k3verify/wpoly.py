@@ -742,7 +742,7 @@ def parse_terms(text: str, table: VariableTable) -> dict:
     """
     stray = _STRAY.search(text)
     if stray:
-        raise PolynomialSyntaxError("unexpected character", len(text[: stray.start()].rstrip()))
+        raise PolynomialSyntaxError("unexpected character", stray.start())
     first = pos = len(text) - len(text.lstrip())
     if pos == len(text):
         raise PolynomialSyntaxError("empty input", 0)

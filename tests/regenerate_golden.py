@@ -22,6 +22,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 from k3verify.cli import main
@@ -67,7 +68,6 @@ def report(name: str) -> str:
 
 
 FIBER_TABLE = "fiber_table.json"
-SWEEP_SEEDS = range(1, 6)
 
 
 def fiber_row(source: str, point: ParameterPoint) -> dict:
@@ -102,14 +102,12 @@ def fiber_table(sweep) -> str:
 def sweep_points():
     """``(source, t)`` for the generic and t18-zero inputs of the ``sweep``
     benchmark workload at seeds 1-5, read from ``benchmarks/workloads.py``."""
-    import importlib.util
-
     root = GOLDEN.parents[1]
-    spec = importlib.util.spec_from_file_location("workloads", root / "benchmarks" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    sys.path.insert(0, str(root / "benchmarks"))
+    import workloads
+
     points = []
-    for seed in SWEEP_SEEDS:
+    for seed in range(1, 6):
         inputs = workloads.make_inputs("sweep", seed, root)
         for kind in ("generic", "t18_zero"):
             points += [(f"sweep seed {seed} {kind} #{i}", t) for i, t in enumerate(inputs[kind])]

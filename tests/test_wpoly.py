@@ -186,7 +186,7 @@ def test_parse_grammar_pinned():
         with pytest.raises(cls) as exc:
             parse_terms(text, T)
         assert type(exc.value) is cls and str(exc.value).startswith(message + " ("), text
-    positions = {"3/0*t4": 2, "t5": 0, "t4 + $": 4, "t4 +": 4}
+    positions = {"3/0*t4": 2, "t5": 0, "t4 + $": 5, "t4 +": 4}
     for text, position in positions.items():
         with pytest.raises(PolynomialSyntaxError) as exc:
             parse_terms(text, T)
