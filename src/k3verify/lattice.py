@@ -655,6 +655,8 @@ def lattice_from_json(text: str) -> GramLattice:
         raise ValueError(f'"gram" has rank {len(rows)}, above the limit {_MAX_JSON_RANK}')
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError('"gram" has ragged rows')
+    if not rows or len(rows[0]) != len(rows):
+        raise ValueError('"gram" must be a non-empty square matrix')
     if not all(type(x) is int for row in rows for x in row):
         raise ValueError('"gram" entries must be integers')
     if any(abs(x) >= _MAX_JSON_ENTRY for row in rows for x in row):

@@ -8,12 +8,12 @@ Fiber classification never factors polynomials over the rationals: the roots
 of Delta are grouped into squarefree strata on which the vanishing orders of
 g2, g3 and Delta are constant, so the Kodaira type is decided per stratum.
 
-The strata, gcds, multiplicities and valuations are computed in Z[x] (see
-``upoly``) on the primitive integer associates of g2, g3 and Delta, which a
-model computes once.  ``Fraction`` returns only at the boundary: the monic
-strata of ``squarefree_strata``, rational places, and the g2 and g3 of a
-twisted-down model.  A stratum of several roots keeps its integer polynomial
-as its place; only the error for a model not minimal along it renders one.
+A model holds g2, g3 and the primitive part of Delta over Z, cleared of
+denominators once when it is built, and the strata, gcds, multiplicities and
+valuations are computed on them in Z[x] (see ``upoly``).  ``Fraction``
+returns only at the boundary: the monic strata of ``squarefree_strata`` and
+rational places.  A stratum of several roots keeps its integer polynomial as
+its place; only the error for a model not minimal along it renders one.
 
 The classification is cached on the model: the Yun strata of Delta, the
 minimal model and the fiber configuration are each computed at most once per
@@ -93,16 +93,13 @@ class KodairaType:
 NON_MINIMAL = "NonMinimal"
 
 
-# -- the model and its integer associates ------------------------------------
+# -- the model over Z ----------------------------------------------------------
 
 
-def _integral(coeffs):
-    """(scale, part): coeffs = scale * part with scale a Fraction and part the
-    primitive integer associate (positive leading coefficient) of coeffs."""
-    coeffs = [Fraction(c) for c in upoly.trim(coeffs)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    content, part = upoly.primitive([c.numerator * (den // c.denominator) for c in coeffs])
-    return Fraction(content, den), part
+def _scaled(coeffs, m):
+    """m * coeffs as an int tuple, for Fraction coeffs whose denominators
+    all divide m."""
+    return tuple([c.numerator * (m // c.denominator) for c in coeffs])
 
 
 def _monic(a):
@@ -114,7 +111,9 @@ def squarefree_strata(a):
 
     Each f_k is monic squarefree of positive degree; distinct f_k are coprime.
     """
-    return [(_monic(f), k) for f, k in upoly.squarefree(_integral(a)[1])]
+    a = upoly.trim(Fraction(c) for c in a)
+    part = _scaled(a, math.lcm(*(c.denominator for c in a)))
+    return [(_monic(f), k) for f, k in upoly.squarefree(part)]
 
 
 def _multiplicity(a, f):
@@ -159,13 +158,13 @@ def _mult_partition(f, poly):
 class WeierstrassModel:
     """Fibration z^2 = y^3 + g2(x0) y + g3(x0) of a given height over P^1.
 
-    g2 and g3 are Fraction tuples; two models are equal when g2, g3 and the
-    height are.  The classification reads int_g2 and int_g3, their (scale,
-    primitive integer part) pairs, and int_delta, the primitive integer
-    associate of Delta; all three are computed once here.
-    ``delta_strata``, ``minimal_model`` and ``configuration`` are cached on
-    first use; a configuration that raises is not cached, so a non-minimal
-    model raises on every call.
+    Rational g2 and g3 are cleared of denominators once: with l the lcm of
+    all of them, the model stores l^4 g2 and l^6 g3 as ``int`` tuples, the
+    same surface over Q (y -> y / l^2, z -> z / l^3), and ``delta``, the
+    primitive part of 4 g2^3 + 27 g3^2.  Two models are equal when g2, g3
+    and the height are.  ``delta_strata``, ``minimal_model`` and
+    ``configuration`` are cached on first use; a configuration that raises
+    is not cached, so a non-minimal model raises on every call.
     """
 
     def __init__(self, g2, g3, height: int = 2):
@@ -175,20 +174,14 @@ class WeierstrassModel:
             raise ValueError("height must be >= 0")
         if len(g2) > 4 * height + 1 or len(g3) > 6 * height + 1:
             raise ValueError("coefficient degree exceeds the height bounds")
-        (s2, a2), (s3, a3) = _integral(g2), _integral(g3)
-        # with s2 = n2 / d2 and s3 = n3 / d3, d2^3 d3^2 Delta is this integer
-        # polynomial, and a positive factor keeps the primitive part
-        delta = upoly.primitive(upoly.combine(
-            upoly.power(a2, 3), 4 * s2.numerator ** 3 * s3.denominator ** 2,
-            upoly.power(a3, 2), 27 * s3.numerator ** 2 * s2.denominator ** 3))[1]
-        if not delta:
+        den = math.lcm(*(c.denominator for c in g2 + g3))
+        self.g2 = _scaled(g2, den ** 4)
+        self.g3 = _scaled(g3, den ** 6)
+        self.delta = upoly.primitive(upoly.combine(
+            upoly.power(self.g2, 3), 4, upoly.power(self.g3, 2), 27))[1]
+        if not self.delta:
             raise IdenticallyZeroError("discriminant vanishes identically")
-        self.g2 = g2
-        self.g3 = g3
         self.height = height
-        self.int_g2 = (s2, a2)
-        self.int_g3 = (s3, a3)
-        self.int_delta = delta
 
     def __eq__(self, other):
         if not isinstance(other, WeierstrassModel):
@@ -200,8 +193,8 @@ class WeierstrassModel:
 
     @cached_property
     def delta_strata(self):
-        """Yun's decomposition of int_delta as ``upoly.squarefree`` returns it."""
-        return upoly.squarefree(self.int_delta)
+        """Yun's decomposition of delta as ``upoly.squarefree`` returns it."""
+        return upoly.squarefree(self.delta)
 
     @cached_property
     def _reduction(self):
@@ -226,7 +219,7 @@ def local_valuations(model: WeierstrassModel, point):
     the bounds are the model's (4h, 6h, 12h); an identically zero g2 or g3
     reports INFINITY.
     """
-    parts = (model.int_g2[1], model.int_g3[1], model.int_delta)
+    parts = (model.g2, model.g3, model.delta)
     if point is INFINITY:
         return tuple([
             INFINITY if not p else bound - (len(p) - 1)
@@ -269,16 +262,14 @@ def kodaira_from_valuations(v2, v3, vd):
 
 
 def _twist(model: WeierstrassModel, f):
-    """The model with g2 / f^4 and g3 / f^6 (f taken monic) and its height
-    lowered by deg f, or None when f^4 does not divide g2 or f^6 not g3."""
-    coeffs = []
-    for (scale, part), k in ((model.int_g2, 4), (model.int_g3, 6)):
-        quotient = upoly.exact_div(part, upoly.power(f, k))
-        if quotient is None:
-            return None
-        scale *= f[-1] ** k
-        coeffs.append(tuple([scale * c for c in quotient]))
-    return WeierstrassModel(coeffs[0], coeffs[1], model.height - (len(f) - 1))
+    """The model with g2 / f^4 and g3 / f^6 and its height lowered by deg f,
+    or None when f^4 does not divide g2 or f^6 not g3.  For a primitive f
+    the quotients lie in Z[x] (Gauss's lemma)."""
+    q2 = upoly.exact_div(model.g2, upoly.power(f, 4))
+    q3 = upoly.exact_div(model.g3, upoly.power(f, 6))
+    if q2 is None or q3 is None:
+        return None
+    return WeierstrassModel(q2, q3, model.height - (len(f) - 1))
 
 
 def minimalize_everywhere(model: WeierstrassModel) -> WeierstrassModel:
@@ -361,8 +352,8 @@ def _classify(model: WeierstrassModel) -> FiberConfiguration:
     if t_inf.euler_number:
         entries.append(FiberEntry(INFINITY, t_inf, 1))
     for f, k in model.delta_strata:
-        for g, m2 in _mult_partition(f, model.int_g2[1]):
-            for h, m3 in _mult_partition(g, model.int_g3[1]):
+        for g, m2 in _mult_partition(f, model.g2):
+            for h, m3 in _mult_partition(g, model.g3):
                 t = kodaira_from_valuations(m2, m3, k)
                 if t is NON_MINIMAL:
                     raise ValueError(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -26,6 +27,22 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every module of the package, imported in a fresh interpreter: each
+    # top-level name it adds to sys.modules is k3verify or the stdlib's
+    package = Path(cli.__file__).resolve().parent
+    names = sorted(f"k3verify.{p.stem}" for p in package.glob("[!_]*.py"))
+    code = ("import sys\nbefore = set(sys.modules)\n"
+            f"for name in {names!r}:\n    __import__(name)\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    top = {name.partition(".")[0] for name in out.split()}
+    assert "k3verify" in top
+    assert top - set(sys.stdlib_module_names) == {"k3verify"}
 
 
 def test_dims_exit_zero(capsys):
@@ -112,8 +129,8 @@ def test_lattices_user_file_missing():
 
 @pytest.mark.parametrize(
     "content",
-    [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]"],
-    ids=["missing", "gram-not-a-list", "no-gram", "top-level-list"],
+    [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]", '{"gram": []}'],
+    ids=["missing", "gram-not-a-list", "no-gram", "top-level-list", "empty-gram"],
 )
 def test_lattices_bad_user_file_exits_two_before_any_check(tmp_path, monkeypatch,
                                                           capsys, content):

@@ -514,6 +514,8 @@ def test_primitive_sublattice_dependent():
         ('{"gram": 5}', '"gram"'),
         ('{"gram": [[0, 1], 5]}', '"gram"'),
         ('{"gram": [[0, 1], [1]]}', "ragged"),
+        ('{"gram": []}', '"gram"'),
+        ('{"gram": [[]]}', '"gram"'),
         ('{"gram": [[0, 1.5], [1.5, 0]]}', "integers"),
         ('{"gram": [[0, "1"], ["1", 0]]}', "integers"),
         ('{"gram": [[0, 1], [1, 0]], "label": 3}', '"label"'),

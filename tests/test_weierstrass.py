@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -281,8 +282,9 @@ def test_model_json_roundtrip():
 def test_model_json_format_is_rendered_x0_text():
     model = build_s(ParameterPoint(Fraction(1, 2), 3, Fraction(-1, 3), 2, 5))
     text = model_to_json(model)
-    assert text == ('{"g2": "1/2*x0^4 - 1/3*x0^3", '
-                    '"g3": "x0^7 + 3*x0^6 + 2*x0^5 + 5*x0^4"}')
+    # l = 6 clears the denominators: g2 * 6^4 and g3 * 6^6
+    assert text == ('{"g2": "648*x0^4 - 432*x0^3", '
+                    '"g3": "46656*x0^7 + 139968*x0^6 + 93312*x0^5 + 233280*x0^4"}')
     assert set(json.loads(text)) == {"g2", "g3"}
     assert model_from_json(text) == model
 
@@ -292,28 +294,66 @@ def test_model_from_json_zero_denominator_is_a_syntax_error():
         model_from_json('{"g2": "1/0*x0^4", "g3": "x0^7"}')
 
 
+def _rational_models(rng, count):
+    """count // 2 random rational (g2, g3) within the height-2 bounds, then
+    count // 2 non-minimal ones, f^4 * a and f^6 * b along a rational linear
+    f; a drawn pair with g2 and g3 both zero is left out."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    pairs = []
+    for _ in range(count // 2):
+        g2 = [rational() for _ in range(rng.randint(1, 9))]
+        g3 = [rational() for _ in range(rng.randint(1, 13))]
+        if any(g2) or any(g3):
+            pairs.append((tuple(g2), tuple(g3)))
+    for _ in range(count // 2):
+        f = (rational(), Fraction(rng.randint(1, 3)))
+        a = tuple([rational() for _ in range(rng.randint(1, 5))])
+        b = tuple([rational() for _ in range(rng.randint(1, 7))])
+        g2 = upoly.mul(upoly.power(f, 4), a) if any(a) else ()
+        g3 = upoly.mul(upoly.power(f, 6), b) if any(b) else (1,)
+        pairs.append((g2, g3))
+    return pairs
+
+
+def _invariants(model):
+    minimal = model.minimal_model
+    config = minimal.configuration
+    return (model.delta, model.delta_strata, config.summary(), config.total_euler,
+            minimal.height, is_k3(model))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scaling_by_lambda_is_the_same_surface(seed):
+    # (g2, g3) and (lambda^4 g2, lambda^6 g3) are isomorphic over Q
+    # (y -> lambda^2 y, z -> lambda^3 z), which is what clearing denominators
+    # relies on
+    rng = random.Random(seed)
+    twisted = 0
+    for g2, g3 in _rational_models(rng, 12):
+        lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+        model = WeierstrassModel(g2, g3)
+        scaled = WeierstrassModel([lam ** 4 * c for c in g2], [lam ** 6 * c for c in g3])
+        assert _invariants(scaled) == _invariants(model)
+        den = math.lcm(*(Fraction(c).denominator for c in g2 + g3))
+        cleared = ([int(c * den ** 4) for c in g2], [int(c * den ** 6) for c in g3])
+        assert model == WeierstrassModel(*cleared)
+        assert model.g2 == upoly.trim(cleared[0]) and model.g3 == upoly.trim(cleared[1])
+        for m in (model, scaled):
+            minimal = m.minimal_model
+            twisted += minimal is not m
+            assert all(type(c) is int for c in m.g2 + m.g3 + minimal.g2 + minimal.g3)
+    assert twisted
+
+
 def _seeded_models(seed):
     """Family points, random rational models within the height-2 bounds, and
     non-minimal models f^4 * a, f^6 * b along a rational linear f."""
     rng = random.Random(seed)
     models = [build_s(p) for p in random_certified_points(3, seed=seed)]
     models += [build_s(p) for p in random_certified_points(2, seed=seed, t18_zero=True)]
-
-    def rational():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
-    for _ in range(4):
-        g2 = [rational() for _ in range(rng.randint(1, 9))]
-        g3 = [rational() for _ in range(rng.randint(1, 13))]
-        if any(g2) or any(g3):
-            models.append(WeierstrassModel(tuple(g2), tuple(g3), 2))
-    for _ in range(4):
-        f = (rational(), Fraction(rng.randint(1, 3)))
-        a = tuple([rational() for _ in range(rng.randint(1, 5))])
-        b = tuple([rational() for _ in range(rng.randint(1, 7))])
-        g2 = upoly.mul(upoly.power(f, 4), a) if any(a) else ()
-        g3 = upoly.mul(upoly.power(f, 6), b) if any(b) else (1,)
-        models.append(WeierstrassModel(g2, g3, 2))
+    models += [WeierstrassModel(g2, g3, 2) for g2, g3 in _rational_models(rng, 8)]
     # non-minimal at infinity as well
     models.append(WeierstrassModel((0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1), 2))
     return models
