@@ -4,9 +4,9 @@ Every subcommand produces a CheckReport; ``--json`` prints the stable JSON
 schema {"suite", "checks", "seed", "runtime_ms", "constants"}, to which
 ``all`` adds "suite_runtime_ms", each suite's milliseconds in manifest order.  Exit code 0
 means no check failed, 1 means at least one failure, 2 means a usage error
-(a bad flag, or a ``ValueError`` or ``OSError`` from user input), 3 means an
-internal error (any other exception escaped a suite; nothing was verified or
-refuted).
+(a bad flag, or a ``--t`` or ``--lattice`` that ``main`` refuses while it reads
+them, before any suite runs), 3 means an internal error (any exception escaped
+a suite, a ``ValueError`` included; nothing was verified or refuted).
 ``all`` runs the suites one after another in manifest order; its
 ``disc-factor`` is the symbolic one, which checks the constant c exactly.
 """
@@ -180,10 +180,6 @@ def run_d90_check(args) -> CheckReport:
 
 def run_lattices(args) -> CheckReport:
     report = CheckReport(suite="lattices", seed=args.seed)
-    user = None
-    if args.lattice:  # read and validated before any built-in check runs
-        with open(args.lattice) as handle:
-            user = lattice.lattice_from_json(handle.read())
     a = lattice.a_lattice()
     big_l = lattice.k3_lattice()
     m = lattice.m_lattice()
@@ -219,6 +215,7 @@ def run_lattices(args) -> CheckReport:
         lattice.same_genus_invariants(comp, a),
         f"complement signature {lattice.signature(comp)}, det {comp.det()}",
     )
+    user = args.lattice
     if user is not None:
         kn = lattice.kneser_check(user, search_bound=args.bound)
         report.add(
@@ -272,8 +269,8 @@ def _parse_t(text: str) -> families.ParameterPoint:
 
 def run_fibers(args) -> CheckReport:
     report = CheckReport(suite="fibers", seed=args.seed)
-    if args.t is not None:
-        point = _parse_t(args.t)
+    point = args.t
+    if point is not None:
         model = families.build_s(point)
         minimal = weierstrass.minimalize_everywhere(model)
         config = weierstrass.fiber_configuration(minimal)
@@ -429,6 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite for the K3 family S(t): "
         "discriminant factorization, fiber configurations, lattice invariants.",
     )
+    parser.set_defaults(t=None, lattice=None)  # only fibers and lattices take them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument("--seed", type=int, default=0, help="PIT seed (default 0)")
@@ -456,13 +454,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", metavar="FILE",
                    help='JSON file {"label": str, "gram": [[int]]} to check, '
                    f'rank at most {lattice._MAX_JSON_RANK}')
-    p.set_defaults(runner=run_lattices, lattice=None)
+    p.set_defaults(runner=run_lattices)
 
     p = sub.add_parser("fibers", parents=[common],
                        help="Kodaira fiber configurations of S(t)")
     p.add_argument("--t", metavar="v4,v6,v10,v12,v18",
-                   help="parameter point (five rationals)")
-    p.set_defaults(runner=run_fibers, t=None)
+                   help="parameter point (five rationals); write --t=-1/2,3,1,1,1 "
+                   "when the first one is negative")
+    p.set_defaults(runner=run_fibers)
 
     p = sub.add_parser("cd", parents=[common],
                        help="CD-family specialization and factorization")
@@ -480,21 +479,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(runner=run_dims)
 
     p = sub.add_parser("all", parents=[common], help="run every suite")
-    p.set_defaults(runner=run_all, lattice=None, t=None, pit=False,
-                   max_weight=_DEFAULT_MAX_WEIGHT)
+    p.set_defaults(runner=run_all, pit=False, max_weight=_DEFAULT_MAX_WEIGHT)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        try:  # the one input step: only what it refuses is a usage error
+            if args.t is not None:
+                args.t = _parse_t(args.t)
+            if args.lattice is not None:
+                with open(args.lattice) as handle:
+                    args.lattice = lattice.lattice_from_json(handle.read())
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report = args.runner(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # a crash is not a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -22,14 +22,13 @@ point and then asking ``is_k3`` runs one squarefree decomposition in all.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from . import upoly
-from .wpoly import VariableTable, parse_terms, render_terms
+from .wpoly import VariableTable, render_terms
 
 INFINITY = math.inf
 
@@ -47,7 +46,7 @@ class IdenticallyZeroError(ValueError):
 
 class InconsistentValuationsError(ArithmeticError):
     """Valuation triple matches no row of the Kodaira table: a fault in the
-    caller, not in the input, so the CLI reports it as an internal error."""
+    caller, not in the input."""
 
 
 class KodairaType:
@@ -383,18 +382,3 @@ def is_k3(model: WeierstrassModel) -> bool:
     config = minimal.configuration
     return config.total_euler == 24 and bool(config.fibers)
 
-
-# -- JSON interchange ----------------------------------------------------------
-
-
-def model_to_json(model: WeierstrassModel) -> str:
-    return json.dumps({"g2": _render(model.g2), "g3": _render(model.g3)})
-
-
-def model_from_json(text: str, height: int = 2) -> WeierstrassModel:
-    obj = json.loads(text)
-    coeffs = []
-    for key in ("g2", "g3"):
-        terms = parse_terms(obj[key], _X0_TABLE)
-        coeffs.append([terms.get((e,), 0) for e in range(max(terms, default=(0,))[0] + 1)])
-    return WeierstrassModel(*coeffs, height)

@@ -12,17 +12,16 @@ operands divided exactly, as in each step of the subresultant chain of the
 weight-180 discriminant, is formed from big-int products with one variable
 packed into each coefficient (``_Kernel.dot_div``).
 
-Rationals appear only in evaluation, which takes a rational point, and in the
-text format, whose ``num/den`` coefficients ``parse_terms`` reads and
-``render_terms`` writes.  Evaluation runs on an index form that each
-polynomial builds at most once and keeps, which is sound because no operation
-mutates ``terms`` after construction.
+Rationals appear only in evaluation, which takes a rational point, and in
+``render_terms``, which also writes ``Fraction`` coefficients.  Evaluation
+runs on an index form that each polynomial builds at most once and keeps,
+which is sound because no operation mutates ``terms`` after construction.
 
 The text format is a regular grammar, read term by term with anchored ``re``
 matches: an optional sign (required before every term but the first), an
-optional coefficient ``int`` or ``int/int``, then factors ``name`` or
-``name^int``, with ``*`` optional between them; blanks may stand anywhere
-between symbols, and every term needs a coefficient or a name.
+optional ``int`` coefficient, then factors ``name`` or ``name^int``, with
+``*`` optional between them; blanks may stand anywhere between symbols, and
+every term needs a coefficient or a name.
 
 Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 """
@@ -158,11 +157,6 @@ class WeightedPolynomial:
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), 0)
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
@@ -728,17 +722,16 @@ class _Kernel:
 
 # Each pattern is matched where the last match ended and takes the blanks
 # after its symbols, so every match starts at a symbol or at the end.
-_HEAD = re.compile(r"([+-])?\s*(?:(\d+)\s*(?:(/)\s*(?:(\d+)\s*)?)?)?")  # sign, coefficient
+_HEAD = re.compile(r"([+-])?\s*(?:(\d+)\s*)?")  # sign, coefficient
 _FACTOR = re.compile(r"\*\s*|([A-Za-z_][A-Za-z_0-9]*)\s*(?:(\^)\s*(?:(\d+)\s*)?)?")
-_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")  # neither blank nor in a symbol
+_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*^()]")  # neither blank nor in a symbol
 
 
-def parse_terms(text: str, table: VariableTable) -> dict:
-    """Parse the polynomial text grammar into its summed term map.
+def parse(text: str, table: VariableTable) -> WeightedPolynomial:
+    """The polynomial ``text`` writes in the text format of the module docstring.
 
-    A coefficient is an ``int``, or a ``Fraction`` where ``num/den`` is
-    written; like terms add up, and a term that sums to zero is left out.  A
-    stray character is reported before any other error, wherever it stands.
+    Like terms add up, and a term that sums to zero is left out.  A stray
+    character is reported before any other error, wherever it stands.
     """
     stray = _STRAY.search(text)
     if stray:
@@ -749,16 +742,12 @@ def parse_terms(text: str, table: VariableTable) -> dict:
     terms = {}
     while True:
         m = _HEAD.match(text, pos)
-        sign, num, slash, den = m.groups()
+        sign, num = m.groups()
         if pos > first and not sign:  # only the first term may go without a sign
             raise PolynomialSyntaxError("expected '+' or '-'", pos)
-        if slash and den is None:
-            raise PolynomialSyntaxError("expected denominator", m.start(3))
-        if den and not int(den):
-            raise PolynomialSyntaxError("zero denominator", m.start(4))
         coeff = -1 if sign == "-" else 1
         if num:
-            coeff *= Fraction(int(num), int(den)) if den else int(num)
+            coeff *= int(num)
         seen, exps, pos = num, [0] * len(table), m.end()
         while m := _FACTOR.match(text, pos):
             name, caret, power = m.groups()
@@ -782,15 +771,7 @@ def parse_terms(text: str, table: VariableTable) -> dict:
         else:
             terms.pop(exp, None)
         if pos == len(text):
-            return terms
-
-
-def parse(text: str, table: VariableTable) -> WeightedPolynomial:
-    """The polynomial ``text`` writes; raises ValueError on a non-integer coefficient."""
-    terms = parse_terms(text, table)
-    for c in terms.values():
-        _check_coefficient(c)
-    return WeightedPolynomial(table, terms)
+            return WeightedPolynomial(table, terms)
 
 
 def render_terms(table: VariableTable, terms) -> str:

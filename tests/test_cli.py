@@ -129,8 +129,10 @@ def test_lattices_user_file_missing():
 
 @pytest.mark.parametrize(
     "content",
-    [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]", '{"gram": []}'],
-    ids=["missing", "gram-not-a-list", "no-gram", "top-level-list", "empty-gram"],
+    [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]", '{"gram": []}',
+     '{"gram": [[0, 0], [0, 0]]}'],
+    ids=["missing", "gram-not-a-list", "no-gram", "top-level-list", "empty-gram",
+         "degenerate-gram"],
 )
 def test_lattices_bad_user_file_exits_two_before_any_check(tmp_path, monkeypatch,
                                                           capsys, content):
@@ -335,8 +337,10 @@ def test_all_has_no_max_weight_flag(capsys):
     assert "unrecognized arguments: --max-weight 5" in captured.err
 
 
-@pytest.mark.parametrize("exc", [KeyError("t99"), TypeError("unsupported operand")],
-                         ids=["key-error", "type-error"])
+@pytest.mark.parametrize("exc", [KeyError("t99"), TypeError("unsupported operand"),
+                                 ValueError("internal bug stand-in"),
+                                 OSError("read failure stand-in")],
+                         ids=["key-error", "type-error", "value-error", "os-error"])
 def test_any_escaping_exception_exits_three(monkeypatch, capsys, exc):
     monkeypatch.setattr(cli, "run_dims", _raise(exc))
     assert main(["dims"]) == 3
@@ -456,7 +460,8 @@ def _argv_strategy(st):
                                  "1,2,3,4,5,6", "1.5e,1,1,1,1", " , , , , "])
     t_text = st.one_of(st.lists(rational, min_size=5, max_size=5).map(",".join), malformed)
     return st.one_of(
-        st.tuples(st.just("fibers"), st.just("--t"), t_text),
+        # the "=" form, so that a leading minus is read as the value
+        st.tuples(st.just("fibers"), t_text.map("--t={}".format)),
         st.tuples(st.just("lattices"), st.just("--bound"),
                   st.one_of(st.integers(-2, 1).map(str), st.just("one"))),
         st.tuples(st.just("disc-factor"), st.just("--trials"),
@@ -469,10 +474,14 @@ def _argv_strategy(st):
 
 
 def _is_usage_error(argv):
-    flag, value = argv[1], argv[2]
+    if argv[1].startswith("--t="):
+        flag, value = "--t", argv[1][len("--t="):]
+    else:
+        flag, value = argv[1], argv[2]
     if flag == "--t":
         try:
-            return len([Fraction(p) for p in value.split(",")]) != 5
+            point = [Fraction(p) for p in value.split(",")]
+            return len(point) != 5 or not any(point)  # the origin is no point
         except (ValueError, ZeroDivisionError):
             return True
     try:
@@ -499,8 +508,7 @@ def test_main_exit_codes_in_process():
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if _is_usage_error(argv):
-            assert code == 2, (argv, code, err.getvalue())
+        assert (code == 2) == _is_usage_error(argv), (argv, code, err.getvalue())
 
     check()
 

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -18,13 +17,10 @@ from k3verify.weierstrass import (
     kodaira_from_valuations,
     local_valuations,
     minimalize_everywhere,
-    model_from_json,
-    model_to_json,
     squarefree_strata,
 )
 from k3verify.eliminate import PitConfig, sample_point
 from k3verify.families import ParameterPoint, build_s, random_certified_points, sample_points
-from k3verify.wpoly import PolynomialSyntaxError
 
 
 def _points():
@@ -269,29 +265,6 @@ def test_chart_swap_invariance():
     original = fiber_configuration(model)
     mirrored = fiber_configuration(swapped)
     assert original.counts_by_symbol() == mirrored.counts_by_symbol()
-
-
-def test_model_json_roundtrip():
-    model = build_s(_points()["generic"])
-    again = model_from_json(model_to_json(model))
-    assert again.g2 == model.g2
-    assert again.g3 == model.g3
-    assert again.height == model.height
-
-
-def test_model_json_format_is_rendered_x0_text():
-    model = build_s(ParameterPoint(Fraction(1, 2), 3, Fraction(-1, 3), 2, 5))
-    text = model_to_json(model)
-    # l = 6 clears the denominators: g2 * 6^4 and g3 * 6^6
-    assert text == ('{"g2": "648*x0^4 - 432*x0^3", '
-                    '"g3": "46656*x0^7 + 139968*x0^6 + 93312*x0^5 + 233280*x0^4"}')
-    assert set(json.loads(text)) == {"g2", "g3"}
-    assert model_from_json(text) == model
-
-
-def test_model_from_json_zero_denominator_is_a_syntax_error():
-    with pytest.raises(PolynomialSyntaxError, match="zero denominator"):
-        model_from_json('{"g2": "1/0*x0^4", "g3": "x0^7"}')
 
 
 def _rational_models(rng, count):
