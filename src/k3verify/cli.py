@@ -2,11 +2,17 @@
 
 Every subcommand produces a CheckReport; ``--json`` prints the stable JSON
 schema {"suite", "checks", "seed", "runtime_ms", "constants"}, to which
-``all`` adds "suite_runtime_ms", each suite's milliseconds in manifest order.  Exit code 0
-means no check failed, 1 means at least one failure, 2 means a usage error
-(a bad flag, or a ``--t`` or ``--lattice`` that ``main`` refuses while it reads
-them, before any suite runs), 3 means an internal error (any exception escaped
-a suite, a ``ValueError`` included; nothing was verified or refuted).
+``all`` adds "suite_runtime_ms", each suite's milliseconds in manifest order.
+A subcommand takes ``--json`` and only the flags its suite reads: ``--seed``
+and ``--trials`` on disc-factor, irreducible and all, ``--bound`` on lattices
+and all, ``--pit``, ``--lattice``, ``--t`` and ``--max-weight`` on one
+subcommand each; a report of a suite without ``--seed`` carries seed 0.
+Exit code 0 means no check failed, 1 means at least one failure, 2 means a
+usage error (a flag the subcommand does not take, a bad value, or a ``--t``
+or ``--lattice`` that ``main`` refuses while it reads them, before any suite
+runs), 3 means an internal error (any exception escaped a suite, a
+``ValueError`` included; nothing was verified or refuted).  A reader that
+closes the pipe early does not change the exit code.
 ``all`` runs the suites one after another in manifest order; its
 ``disc-factor`` is the symbolic one, which checks the constant c exactly.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -92,10 +99,6 @@ _README_C = 2176782336  # 6^12
 _README_C_PRIME = 544195584
 
 
-def _pit_config(args) -> PitConfig:
-    return PitConfig(trials=args.trials, seed=args.seed)
-
-
 # disc(R) - c * r^3 * d90 is a form of weight 180 in t4, ..., t18, whose least
 # weight is 4, so its total degree is at most 45.  By Schwartz-Zippel a trial
 # with coordinates drawn from the 2B + 1 integers in [-B, B] misses a nonzero
@@ -118,7 +121,7 @@ def _pit_error_bound(cfg: PitConfig, used: int) -> str:
 def run_disc_factor(args) -> CheckReport:
     report = CheckReport(suite="disc-factor", seed=args.seed)
     if args.pit:
-        cfg = _pit_config(args)
+        cfg = PitConfig(trials=args.trials, seed=args.seed)
         c, used, ok, witness = families.pit_disc_factorization(cfg)
         report.check(
             "disc(R) = c * r^3 * d90 (probabilistic)",
@@ -426,61 +429,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite for the K3 family S(t): "
         "discriminant factorization, fiber configurations, lattice invariants.",
     )
-    parser.set_defaults(t=None, lattice=None)  # only fibers and lattices take them
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON report")
-    common.add_argument("--seed", type=int, default=0, help="PIT seed (default 0)")
-    common.add_argument("--trials", type=_int_in_range(1, _MAX_TRIALS), default=100,
-                        help=f"randomized trial budget, 1 to {_MAX_TRIALS} (default 100)")
-    common.add_argument("--bound", type=_int_in_range(0), default=2,
-                        help="box bound for the norm -2 search (default 2)")
+    # what a suite reads where its subcommand has no flag to set it
+    parser.set_defaults(seed=0, pit=False, t=None, lattice=None, max_weight=_DEFAULT_MAX_WEIGHT)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("disc-factor", parents=[common],
-                       help="verify disc(R) = c * r^3 * d90")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--symbolic", dest="pit", action="store_false",
-                       help="exact symbolic factorization (default)")
-    group.add_argument("--pit", dest="pit", action="store_true",
-                       help="fast probabilistic identity test")
-    p.set_defaults(pit=False, runner=run_disc_factor)
-
-    p = sub.add_parser("d90-check", parents=[common],
-                       help="diff the derived d90 against the printed polynomial")
-    p.set_defaults(runner=run_d90_check)
-
-    p = sub.add_parser("lattices", parents=[common],
-                       help="signatures, discriminant forms, Kneser reports")
-    p.add_argument("--lattice", metavar="FILE",
-                   help='JSON file {"label": str, "gram": [[int]]} to check, '
-                   f'rank at most {lattice._MAX_JSON_RANK}')
-    p.set_defaults(runner=run_lattices)
-
-    p = sub.add_parser("fibers", parents=[common],
-                       help="Kodaira fiber configurations of S(t)")
-    p.add_argument("--t", metavar="v4,v6,v10,v12,v18",
-                   help="parameter point (five rationals); write --t=-1/2,3,1,1,1 "
-                   "when the first one is negative")
-    p.set_defaults(runner=run_fibers)
-
-    p = sub.add_parser("cd", parents=[common],
-                       help="CD-family specialization and factorization")
-    p.set_defaults(runner=run_cd)
-
-    p = sub.add_parser("irreducible", parents=[common],
-                       help="irreducibility certificate for d90")
-    p.set_defaults(runner=run_irreducible)
-
-    p = sub.add_parser("dims", parents=[common],
-                       help="modular-form dimension table")
-    p.add_argument("--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT),
-                   default=_DEFAULT_MAX_WEIGHT,
-                   help=f"top weight of the table, 0 to {_MAX_WEIGHT_LIMIT} (default %(default)s)")
-    p.set_defaults(runner=run_dims)
-
-    p = sub.add_parser("all", parents=[common], help="run every suite")
-    p.set_defaults(runner=run_all, pit=False, max_weight=_DEFAULT_MAX_WEIGHT)
-
+    commands = {}
+    for name, runner, text in (
+        ("disc-factor", run_disc_factor, "verify disc(R) = c * r^3 * d90"),
+        ("d90-check", run_d90_check, "diff the derived d90 against the printed polynomial"),
+        ("lattices", run_lattices, "signatures, discriminant forms, Kneser reports"),
+        ("fibers", run_fibers, "Kodaira fiber configurations of S(t)"),
+        ("cd", run_cd, "CD-family specialization and factorization"),
+        ("irreducible", run_irreducible, "irreducibility certificate for d90"),
+        ("dims", run_dims, "modular-form dimension table"),
+        ("all", run_all, "run every suite"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=text)
+        p.add_argument("--json", action="store_true", help="emit the JSON report")
+        p.set_defaults(runner=runner)
+    for name in ("disc-factor", "irreducible", "all"):
+        p = commands[name]
+        p.add_argument("--seed", type=int, default=0, help="seed of the random trials (default 0)")
+        p.add_argument("--trials", type=_int_in_range(1, _MAX_TRIALS), default=100,
+                       help=f"randomized trial budget, 1 to {_MAX_TRIALS} (default 100)")
+    for name in ("lattices", "all"):
+        commands[name].add_argument("--bound", type=_int_in_range(0), default=2,
+                                    help="box bound for the norm -2 search (default 2)")
+    commands["disc-factor"].add_argument(
+        "--pit", action="store_true",
+        help="fast probabilistic identity test in place of the exact symbolic factorization")
+    commands["lattices"].add_argument(
+        "--lattice", metavar="FILE",
+        help='JSON file {"label": str, "gram": [[int]]} to check, '
+        f"rank at most {lattice._MAX_JSON_RANK}")
+    commands["fibers"].add_argument(
+        "--t", metavar="v4,v6,v10,v12,v18",
+        help="parameter point (five rationals); write --t=-1/2,3,1,1,1 "
+        "when the first one is negative")
+    commands["dims"].add_argument(
+        "--max-weight", type=_int_in_range(0, _MAX_WEIGHT_LIMIT), default=_DEFAULT_MAX_WEIGHT,
+        help=f"top weight of the table, 0 to {_MAX_WEIGHT_LIMIT} (default %(default)s)")
     return parser
 
 
@@ -503,7 +490,14 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     report.runtime_ms = int((time.monotonic() - start) * 1000)
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # the reader left early, which changes no verdict; what is still
+        # buffered goes to devnull, so the interpreter's last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if report.failed else 0
 
 

@@ -89,20 +89,15 @@ def build_s(point: ParameterPoint) -> WeierstrassModel:
     )
 
 
-def build_s_symbolic():
-    """The model coefficients (g2, g3) as polynomials over TX_TABLE."""
-    g2v, g3v = dual_polynomials()
-    x0 = _var(TX_TABLE, "x0")
-    return x0 ** 3 * g2v, x0 ** 4 * g3v
+def _s_model(t4, t6, t10, t12, t18, x0):
+    """g2/x0^3 and g3/x0^4 of the affine model, over any ring."""
+    return t4 * x0 + t10, x0 ** 3 + t6 * x0 ** 2 + t12 * x0 + t18
 
 
 def dual_polynomials():
-    """g2/x0^3 and g3/x0^4 of the affine model: the degree-1 and degree-3
+    """g2/x0^3 and g3/x0^4 over TX_TABLE: the degree-1 and degree-3
     polynomials whose resultant is r(t)."""
-    t4, t6, t10, t12, t18, x0 = (_var(TX_TABLE, name) for name in TX_TABLE.names)
-    g2v = t4 * x0 + t10
-    g3v = x0 ** 3 + t6 * x0 ** 2 + t12 * x0 + t18
-    return g2v, g3v
+    return _s_model(*(_var(TX_TABLE, name) for name in TX_TABLE.names))
 
 
 @lru_cache(maxsize=1)
@@ -159,7 +154,7 @@ def disc_factorization() -> DiscFactorization:
     about c; it is reported in the result.
     """
     disc = discriminant(big_r_symbolic(), "x0").change_table(T_TABLE)
-    quotient = disc.exact_div(r_poly().change_table(T_TABLE) ** 3)
+    quotient = disc.exact_div(r_poly() ** 3)
     c = _content_and_sign(quotient)
     derived = quotient.exact_div(c)
     return DiscFactorization(c=c, disc=disc, d90_derived=derived)
@@ -290,22 +285,12 @@ def cd_specialize_check(substitution=None):
     Returns (True, None) on success or (False, witness) with the nonzero
     difference polynomials.
     """
-    assignments = dict(_CD_SUBSTITUTION)
-    if substitution:
-        assignments.update(substitution)
-    subs = {
-        name: parse(text, MIX_TABLE) for name, text in assignments.items()
-    }
-    subs["x0"] = _var(MIX_TABLE, "x0")
-    g2_s, g3_s = build_s_symbolic()
-    side_s = (g2_s.substitute(subs), g3_s.substitute(subs))
+    assignments = {**_CD_SUBSTITUTION, **(substitution or {})}
+    x0 = _var(MIX_TABLE, "x0")
+    g2v, g3v = _s_model(*(parse(assignments[name], MIX_TABLE) for name in T_TABLE.names), x0)
     g2_cd, g3_cd = build_scd_symbolic()
-    side_cd = (
-        _chart_swap(g2_cd, 8),
-        _chart_swap(g3_cd, 12),
-    )
-    diff2 = side_s[0] - side_cd[0]
-    diff3 = side_s[1] - side_cd[1]
+    diff2 = x0 ** 3 * g2v - _chart_swap(g2_cd, 8)
+    diff3 = x0 ** 4 * g3v - _chart_swap(g3_cd, 12)
     if diff2.is_zero() and diff3.is_zero():
         return True, None
     return False, (render(diff2), render(diff3))
@@ -322,14 +307,12 @@ def _chart_swap(p: WeightedPolynomial, bound: int) -> WeightedPolynomial:
 
 # -- dimension counts ------------------------------------------------------------
 
-_WEIGHTS = (4, 6, 10, 12, 18)
-
 
 @lru_cache(maxsize=8)
 def _monomial_counts(limit: int):
     counts = [0] * (limit + 1)
     counts[0] = 1
-    for w in _WEIGHTS:
+    for w in T_TABLE.weights:
         for k in range(w, limit + 1):
             counts[k] += counts[k - w]
     return counts
@@ -352,7 +335,7 @@ def dim_forms(k: int, character: str = "id") -> int:
 def dim_forms_bruteforce(k: int) -> int:
     """Monomial count by direct exponent enumeration (cross-check path)."""
     count = 0
-    w4, w6, w10, w12, w18 = _WEIGHTS
+    w4, w6, w10, w12, w18 = T_TABLE.weights
     for e18 in range(k // w18 + 1):
         k18 = k - w18 * e18
         for e12 in range(k18 // w12 + 1):

@@ -636,14 +636,18 @@ _RANK_PRIME = (1 << 61) - 1
 
 
 def lattice_from_json(text: str) -> GramLattice:
-    """Parse ``{"label": str, "gram": [[int, ...], ...]}``; a malformed
-    document, one of rank above ``_MAX_JSON_RANK`` or one with an entry of
-    magnitude ``_MAX_JSON_ENTRY`` or more, however many digits it has, or a
-    degenerate Gram matrix raises ``ValueError`` naming the bad field."""
+    """Parse ``{"label": str, "gram": [[int, ...], ...]}``; a malformed or
+    too deeply nested document, one of rank above ``_MAX_JSON_RANK`` or one
+    with an entry of magnitude ``_MAX_JSON_ENTRY`` or more, however many
+    digits it has, or a degenerate Gram matrix raises ``ValueError`` naming
+    the bad field."""
     # a literal of 20 digits is past 2^63: clamp it, so the check below names
     # "gram" and int() never meets one past its 4,300-digit limit
-    obj = json.loads(text, parse_int=lambda s: _MAX_JSON_ENTRY if len(s.lstrip("-")) > 19
-                     else int(s))
+    try:
+        obj = json.loads(text, parse_int=lambda s: _MAX_JSON_ENTRY if len(s.lstrip("-")) > 19
+                         else int(s))
+    except RecursionError:
+        raise ValueError("lattice JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("lattice JSON must be an object")
     if "gram" not in obj:

@@ -252,7 +252,7 @@ class WeightedPolynomial:
         (base,) = kernel.pack([self])
         return kernel.poly(kernel.pow(base, k))
 
-    # -- evaluation and substitution ---------------------------------------
+    # -- evaluation, change of table, derivative ---------------------------
 
     def _integer_form(self):
         """(tops, indices), built on first use.
@@ -312,38 +312,6 @@ class WeightedPolynomial:
                 c *= rows[k]
             out[exp[i]] += c
         return out
-
-    def substitute(self, assignments: dict) -> "WeightedPolynomial":
-        """Compose with polynomial assignments for some of the variables.
-
-        ``assignments`` maps variable names to polynomials sharing one common
-        target table; unassigned variables must exist in the target table under
-        the same name.
-        """
-        if not assignments:
-            return self
-        targets = list(assignments.values())
-        target_table = targets[0].table
-        if any(t.table != target_table for t in targets):
-            raise TableMismatchError("assignment targets use different tables")
-        images = []
-        for name in self.table.names:
-            if name in assignments:
-                images.append(assignments[name])
-            else:
-                images.append(WeightedPolynomial.variable(target_table, name))
-        result = WeightedPolynomial.zero(target_table)
-        power_cache = [dict() for _ in images]
-        for exp, coeff in self.terms.items():
-            prod = WeightedPolynomial.constant(target_table, coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    cache = power_cache[i]
-                    if e not in cache:
-                        cache[e] = images[i] ** e
-                    prod = prod * cache[e]
-            result = result + prod
-        return result
 
     def change_table(self, new_table: VariableTable) -> "WeightedPolynomial":
         """Re-express over another table, matching variables by name.

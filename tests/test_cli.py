@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -130,9 +131,9 @@ def test_lattices_user_file_missing():
 @pytest.mark.parametrize(
     "content",
     [None, '{"gram": 5}', '{"label": "x"}', "[[0, 1], [1, 0]]", '{"gram": []}',
-     '{"gram": [[0, 0], [0, 0]]}'],
+     '{"gram": [[0, 0], [0, 0]]}', '{"gram": ' + "[" * 100_000 + "]" * 100_000 + "}"],
     ids=["missing", "gram-not-a-list", "no-gram", "top-level-list", "empty-gram",
-         "degenerate-gram"],
+         "degenerate-gram", "nested-too-deeply"],
 )
 def test_lattices_bad_user_file_exits_two_before_any_check(tmp_path, monkeypatch,
                                                           capsys, content):
@@ -146,6 +147,7 @@ def test_lattices_bad_user_file_exits_two_before_any_check(tmp_path, monkeypatch
     assert built_in == []
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
 
@@ -190,7 +192,7 @@ def test_disc_factor_symbolic_wrong_factorization_fails(monkeypatch, capsys):
     true_disc = 2176782336 * families.r_poly() ** 3 * d90
     wrong = families.DiscFactorization(c=2 * 2176782336, disc=true_disc, d90_derived=d90)
     monkeypatch.setattr(families, "disc_factorization", lambda: wrong)
-    assert main(["disc-factor", "--symbolic", "--json"]) == 1
+    assert main(["disc-factor", "--json"]) == 1
     statuses = _statuses(capsys)
     assert statuses["disc(R) = c * r^3 * d90 (symbolic)"] == "fail"
     assert statuses["c = 2176782336"] == "fail"
@@ -453,6 +455,95 @@ def test_user_lattice_never_reaches_the_smith_form(tmp_path, monkeypatch, capsys
     assert "kneser_check(generic8)" in _statuses(capsys)
 
 
+# the flags each subcommand takes besides --json: those its suite reads
+_READS = {
+    "disc-factor": ("--seed", "--trials", "--pit"),
+    "d90-check": (),
+    "lattices": ("--bound", "--lattice"),
+    "fibers": ("--t",),
+    "cd": (),
+    "irreducible": ("--seed", "--trials"),
+    "dims": ("--max-weight",),
+    "all": ("--seed", "--trials", "--bound"),
+}
+_UNREAD = [[command, flag, "1"] for command, flags in _READS.items()
+           for flag in ("--seed", "--trials", "--bound", "--max-weight") if flag not in flags]
+
+
+@pytest.mark.parametrize("argv", [["cd", "--seed", "1"], ["fibers", "--bound", "1"],
+                                  ["dims", "--trials", "3"], ["d90-check", "--trials", "5"],
+                                  ["lattices", "--seed", "2"], ["irreducible", "--bound", "1"],
+                                  ["disc-factor", "--bound", "2"], ["disc-factor", "--symbolic"]],
+                         ids=" ".join)
+def test_flag_the_suite_does_not_read_exits_two_before_any_runner(monkeypatch, capsys, argv):
+    ran = []
+    for name in ("run_all", *(runner.__name__ for _, runner in cli._MANIFEST)):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_help_lists_exactly_the_flags_the_suite_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--json", *_READS[command]}
+
+
+def test_all_takes_seed_trials_and_bound(capsys):
+    assert main(["all", "--seed", "1", "--trials", "5", "--bound", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, _text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("ok,code", [(True, 0), (False, 1)], ids=["pass", "fail"])
+def test_broken_pipe_keeps_the_verdict_and_points_stdout_at_devnull(
+        tmp_path, monkeypatch, capsys, ok, code):
+    report = cli.CheckReport("dims")
+    report.check("stand-in", ok)
+    monkeypatch.setattr(cli, "run_dims", lambda args: report)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with contextlib.redirect_stdout(_ClosedPipe(fd)):
+            assert main(["dims"]) == code
+        null = os.stat(os.devnull)
+        assert (os.fstat(fd).st_dev, os.fstat(fd).st_ino) == (null.st_dev, null.st_ino)
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_from_a_subprocess_exits_with_the_verdict():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "k3verify.cli", "dims", "--max-weight", "0"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def _argv_strategy(st):
     rational = st.builds(lambda n, d: f"{n}/{d}" if d != 1 else str(n),
                          st.integers(-40, 40), st.integers(1, 9))
@@ -470,6 +561,7 @@ def _argv_strategy(st):
                   st.one_of(st.integers(-1, 8).map(str), st.just("8.5"))),
         st.tuples(st.just("dims"), st.just("--max-weight"),
                   st.one_of(st.integers(-2, 40).map(str), st.just("401"), st.just("ten"))),
+        st.sampled_from(_UNREAD),
     ).map(list)
 
 
@@ -478,6 +570,8 @@ def _is_usage_error(argv):
         flag, value = "--t", argv[1][len("--t="):]
     else:
         flag, value = argv[1], argv[2]
+    if flag not in _READS[argv[0]]:
+        return True
     if flag == "--t":
         try:
             point = [Fraction(p) for p in value.split(",")]

@@ -240,29 +240,6 @@ def test_grading_law():
     assert r.evaluate(scaled) == lam ** 30 * r.evaluate(point)
 
 
-def test_substitute():
-    greek = VariableTable(("alpha", "beta"), (4, 6))
-    t4 = WeightedPolynomial.variable(T, "t4")
-    image = t4.substitute(
-        {
-            name: parse(text, greek)
-            for name, text in (
-                ("t4", "-3*alpha"),
-                ("t6", "0"),
-                ("t10", "0"),
-                ("t12", "0"),
-                ("t18", "0"),
-            )
-        }
-    )
-    assert render(image) == "-3*alpha"
-    p = parse("t4^2 + t6", T)
-    identity = {
-        name: WeightedPolynomial.variable(T, name) for name in T.names
-    }
-    assert p.substitute(identity) == p
-
-
 def test_exact_div():
     p = parse("t4^2 - t6^2", T)
     q = parse("t4 - t6", T)
