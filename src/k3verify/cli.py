@@ -424,8 +424,11 @@ def _int_in_range(low, high=None):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is spelled in full, never read as the flag
+    # it is a prefix of
     parser = argparse.ArgumentParser(
         prog="k3verify",
+        allow_abbrev=False,
         description="Exact verification suite for the K3 family S(t): "
         "discriminant factorization, fiber configurations, lattice invariants.",
     )
@@ -443,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dims", run_dims, "modular-form dimension table"),
         ("all", run_all, "run every suite"),
     ):
-        p = commands[name] = sub.add_parser(name, help=text)
+        p = commands[name] = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.set_defaults(runner=runner)
     for name in ("disc-factor", "irreducible", "all"):

@@ -2,10 +2,14 @@
 testing.
 
 The resultant is defined as the determinant of the Sylvester matrix with the
-rows of the first argument on top.  It is computed by Ducos' subresultant
-algorithm (Ducos, "Optimizations of the subresultant algorithm", JPAA 145,
-2000), run on the integer kernel of ``wpoly``: one pseudo-remainder, then
-each subresultant from the previous two by Ducos' reduction, which divides
+rows of the first argument on top.  Eliminating a variable drops it: the
+resultant and the discriminant live over the table of their operands without
+the eliminated variable, so disc_x0(R) lands on (t4, t6, t10, t12, t18).
+Each operand is split by that variable once, straight into integer kernel
+values over the smaller table (see ``wpoly._Kernel``), and the chain runs on
+those.  It is Ducos' subresultant algorithm (Ducos, "Optimizations of the
+subresultant algorithm", JPAA 145, 2000): one pseudo-remainder, then each
+subresultant from the previous two by Ducos' reduction, which divides
 exactly as it goes instead of forming the full pseudo-remainder, and each
 power quotient x^n / y^(n-1) by Lazard's square-and-divide.
 
@@ -16,7 +20,7 @@ two coefficient bounds prove it exact (see ``wpoly._Kernel``).
 """
 from __future__ import annotations
 
-from .wpoly import WeightedPolynomial, _Kernel
+from .wpoly import VariableTable, WeightedPolynomial, _Kernel
 
 
 class BothConstantError(ValueError):
@@ -94,27 +98,45 @@ def _prem(a, b, kernel):
     return r
 
 
+def _split(polys, var):
+    """A kernel over the table of ``polys`` without ``var``, and the
+    coefficients of each polynomial in ``var``, lowest power first, as its
+    values."""
+    table = polys[0].table
+    i = table.index(var)
+    kernel = _Kernel(VariableTable(table.names[:i] + table.names[i + 1 :],
+                                   table.weights[:i] + table.weights[i + 1 :]))
+    values = []
+    for p in polys:
+        coeffs = [[] for _ in range(p.degree_in(var) + 1)]
+        for exp, c in p.terms.items():
+            coeffs[exp[i]].append((exp[:i] + exp[i + 1 :], c))
+        values.append([kernel.value(terms) for terms in coeffs])
+    return kernel, values
+
+
 def resultant(f: WeightedPolynomial, g: WeightedPolynomial, var: str) -> WeightedPolynomial:
-    """Resultant of f and g with respect to ``var``.
+    """Resultant of f and g with respect to ``var``, over their table without
+    ``var``.
 
     Equals the Sylvester determinant with f-rows on top.  A constant operand is
     handled as lc(const)^deg(other); two constants raise BothConstantError.
     """
+    f._check_table(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
-    a = f.univariate_view(var)
-    b = g.univariate_view(var)
+    kernel, (a, b) = _split([f, g], var)
     m, n = len(a) - 1, len(b) - 1
     if m < 1 and n < 1:
         raise BothConstantError(f"both inputs constant in {var!r}")
     if m < 1:
-        return a[0] ** n
+        return kernel.poly(kernel.pow(a[0], n))
     if n < 1:
-        return b[0] ** m
-    return _resultant_ducos(a, b)
+        return kernel.poly(kernel.pow(b[0], m))
+    return kernel.poly(_resultant_ducos(a, b, kernel))
 
 
-def _resultant_ducos(a, b):
+def _resultant_ducos(p, q, kernel):
     """Ducos' subresultant algorithm on coefficient lists of degree at least 1.
 
     One pseudo-remainder starts the sequence; every later subresultant comes
@@ -122,8 +144,6 @@ def _resultant_ducos(a, b):
     final resultant from :func:`_lazard`.  The sign follows the subresultant
     PRS: it flips whenever two consecutive degrees are both odd.
     """
-    kernel = _Kernel(a[0].table)
-    p, q = kernel.pack(a), kernel.pack(b)
     sign = 1
     if len(p) < len(q):
         p, q = q, p
@@ -142,9 +162,9 @@ def _resultant_ducos(a, b):
         p, q = z, _trim(_ducos_reduction(p, q, z, s, kernel))
         s = p[-1]
     if not q:
-        return kernel.poly({})
-    res = kernel.poly(_lazard(q[0], s, len(p) - 1, kernel))
-    return res if sign == 1 else -res
+        return {}
+    res = _lazard(q[0], s, len(p) - 1, kernel)
+    return res if sign == 1 else {key: -c for key, c in res.items()}
 
 
 def _lazard(x, y, n, kernel):
@@ -201,14 +221,11 @@ def _ducos_reduction(p, q, z, s, kernel):
 
 
 def discriminant(f: WeightedPolynomial, var: str) -> WeightedPolynomial:
-    """(-1)^(n(n-1)/2) * res(f, df/dvar) / lc(f), with exact division."""
-    coeffs = f.univariate_view(var)
-    n = len(coeffs) - 1
+    """(-1)^(n(n-1)/2) * res(f, df/dvar) / lc(f), with exact division, over
+    the table of f without ``var``."""
+    n = f.degree_in(var)
     if n < 2:
         raise DegreeTooLowError(f"degree {n} in {var!r} is below 2")
-    lc = coeffs[-1]
-    res = resultant(f, f.derivative(var), var)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quotient = res.exact_div(lc)
-    return quotient if sign == 1 else -quotient
-
+    kernel, (a, b) = _split([f, f.derivative(var)], var)
+    quotient = kernel.poly(kernel.exact_div(_resultant_ducos(a, b, kernel), a[-1]))
+    return -quotient if (n * (n - 1) // 2) % 2 else quotient

@@ -155,9 +155,6 @@ class WeightedPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
 
@@ -252,7 +249,7 @@ class WeightedPolynomial:
         (base,) = kernel.pack([self])
         return kernel.poly(kernel.pow(base, k))
 
-    # -- evaluation, change of table, derivative ---------------------------
+    # -- evaluation and derivative -----------------------------------------
 
     def _integer_form(self):
         """(tops, indices), built on first use.
@@ -295,7 +292,7 @@ class WeightedPolynomial:
         return Fraction(total)
 
     def univariate_at(self, var: str, point):
-        """``univariate_view(var)`` evaluated at ``point``, in one pass.
+        """The coefficients of ``var``'s powers, lowest first, at ``point``.
 
         ``point`` holds one rational per variable; the entry for ``var`` is
         ignored.  At an integer point every coefficient is an ``int``.  The
@@ -313,35 +310,12 @@ class WeightedPolynomial:
             out[exp[i]] += c
         return out
 
-    def change_table(self, new_table: VariableTable) -> "WeightedPolynomial":
-        """Re-express over another table, matching variables by name.
-
-        Variables absent from the new table must not occur in any term.
-        """
-        positions = []
-        for name in self.table.names:
-            positions.append(new_table.names.index(name) if name in new_table.names else None)
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new_exp = [0] * len(new_table)
-            for i, e in enumerate(exp):
-                if e:
-                    if positions[i] is None:
-                        raise ValueError(
-                            f"variable {self.table.names[i]!r} occurs but is not in the new table"
-                        )
-                    new_exp[positions[i]] = e
-            terms[tuple(new_exp)] = coeff
-        return WeightedPolynomial(new_table, terms)
-
     def derivative(self, var: str) -> "WeightedPolynomial":
+        # distinct exponents stay distinct and every coefficient nonzero
         i = self.table.index(var)
-        terms = {}
-        for exp, coeff in self.terms.items():
-            if exp[i]:
-                new_exp = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
-                terms[new_exp] = terms.get(new_exp, 0) + coeff * exp[i]
-        return WeightedPolynomial.from_terms(self.table, terms)
+        return WeightedPolynomial(self.table, {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c * exp[i]
+            for exp, c in self.terms.items() if exp[i]})
 
     # -- division ----------------------------------------------------------
 
@@ -354,22 +328,6 @@ class WeightedPolynomial:
         self._check_table(other)
         kernel = _Kernel(self.table)
         return kernel.poly(kernel.exact_div(*kernel.pack([self, other])))
-
-    def univariate_view(self, var: str):
-        """Coefficient list indexed by the power of ``var``.
-
-        Entries are polynomials over the same table with zero exponent in
-        ``var``.  The zero polynomial yields an empty list.
-        """
-        i = self.table.index(var)
-        if self.is_zero():
-            return []
-        top = max(exp[i] for exp in self.terms)
-        coeffs = [dict() for _ in range(top + 1)]
-        for exp, coeff in self.terms.items():
-            reduced = exp[:i] + (0,) + exp[i + 1 :]
-            coeffs[exp[i]][reduced] = coeff
-        return [WeightedPolynomial(self.table, t) for t in coeffs]
 
 
 def _power_rows(tops, point, skip=-1):
@@ -452,16 +410,17 @@ class _Kernel:
 
     def pack(self, polys):
         """The kernel value of each polynomial, in a list."""
+        return [self.value(p.terms.items()) for p in polys]
+
+    def value(self, terms):
+        """The kernel value of (exponents, coefficient) pairs over this table."""
         shifts = self.shifts
-        values = []
-        for p in polys:
-            value = {}
-            for exp, c in p.terms.items():
-                if exp and max(exp) >= _EXPONENT_LIMIT:
-                    raise OverflowError(f"exponent in {exp} exceeds the packing width")
-                value[sum(map(lshift, exp, shifts))] = c
-            values.append(value)
-        return values
+        value = {}
+        for exp, c in terms:
+            if exp and max(exp) >= _EXPONENT_LIMIT:
+                raise OverflowError(f"exponent in {exp} exceeds the packing width")
+            value[sum(map(lshift, exp, shifts))] = c
+        return value
 
     def poly(self, value) -> WeightedPolynomial:
         """The polynomial of a kernel value."""

@@ -468,12 +468,18 @@ _READS = {
 }
 _UNREAD = [[command, flag, "1"] for command, flags in _READS.items()
            for flag in ("--seed", "--trials", "--bound", "--max-weight") if flag not in flags]
+# every proper prefix of a flag, "--" and one letter at least
+_PREFIXES = sorted({flag[:k] for flags in _READS.values() for flag in flags
+                    for k in range(3, len(flag))})
 
 
 @pytest.mark.parametrize("argv", [["cd", "--seed", "1"], ["fibers", "--bound", "1"],
                                   ["dims", "--trials", "3"], ["d90-check", "--trials", "5"],
                                   ["lattices", "--seed", "2"], ["irreducible", "--bound", "1"],
-                                  ["disc-factor", "--bound", "2"], ["disc-factor", "--symbolic"]],
+                                  ["disc-factor", "--bound", "2"], ["disc-factor", "--symbolic"],
+                                  # a prefix is no flag: not --trials, --bound
+                                  ["disc-factor", "--pit", "--t", "7"],
+                                  ["all", "--t", "1,1,1,1,2"], ["lattices", "--bo", "1"]],
                          ids=" ".join)
 def test_flag_the_suite_does_not_read_exits_two_before_any_runner(monkeypatch, capsys, argv):
     ran = []
@@ -485,7 +491,9 @@ def test_flag_the_suite_does_not_read_exits_two_before_any_runner(monkeypatch, c
     captured = capsys.readouterr()
     assert ran == []
     assert captured.out == ""
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+    unread = next(i for i, arg in enumerate(argv) if arg.startswith("--")
+                  and arg not in _READS[argv[0]])
+    assert f"unrecognized arguments: {' '.join(argv[unread:])}" in captured.err
 
 
 @pytest.mark.parametrize("command", sorted(_READS))
@@ -562,6 +570,7 @@ def _argv_strategy(st):
         st.tuples(st.just("dims"), st.just("--max-weight"),
                   st.one_of(st.integers(-2, 40).map(str), st.just("401"), st.just("ten"))),
         st.sampled_from(_UNREAD),
+        st.tuples(st.sampled_from(sorted(_READS)), st.sampled_from(_PREFIXES), st.just("1")),
     ).map(list)
 
 

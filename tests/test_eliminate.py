@@ -13,17 +13,36 @@ from k3verify.eliminate import (
     sample_point,
 )
 from k3verify.exactalg import bareiss_det
-from k3verify.wpoly import VariableTable, WeightedPolynomial, _Kernel, parse, render
+from k3verify.wpoly import (
+    TableMismatchError,
+    VariableTable,
+    WeightedPolynomial,
+    _Kernel,
+    parse,
+    render,
+)
 
 XT = VariableTable(("a", "b", "x"), (1, 1, 1))
+AB = VariableTable(("a", "b"), (1, 1))
 
 
 def _bareiss_resultant(f, g, var):
     """Independent oracle: the fraction-free Bareiss determinant of the
-    Sylvester matrix of f and g in ``var``, with the rows of f on top."""
-    a, b = f.univariate_view(var), g.univariate_view(var)
+    Sylvester matrix of f and g in ``var``, with the rows of f on top, over
+    the table without ``var``.  The rows come from the term maps."""
+    i = f.table.index(var)
+    rest = VariableTable(f.table.names[:i] + f.table.names[i + 1:],
+                         f.table.weights[:i] + f.table.weights[i + 1:])
+
+    def coefficients(p):
+        terms = [{} for _ in range(max(exp[i] for exp in p.terms) + 1)]
+        for exp, c in p.terms.items():
+            terms[exp[i]][exp[:i] + exp[i + 1:]] = c
+        return [WeightedPolynomial(rest, t) for t in terms]
+
+    a, b = coefficients(f), coefficients(g)
     m, n = len(a) - 1, len(b) - 1
-    zero = WeightedPolynomial.zero(f.table)
+    zero = WeightedPolynomial.zero(rest)
     rows = []
     for coeffs, count in ((a, n), (b, m)):
         for i in range(count):
@@ -50,7 +69,7 @@ def test_resultant_linear_pair():
     table = VariableTable(("a", "b", "x"), (1, 1, 1))
     f = parse("x - a", table)
     g = parse("x - b", table)
-    assert resultant(f, g, "x") == parse("a - b", table)
+    assert resultant(f, g, "x") == parse("a - b", AB)
 
 
 def test_resultant_r0_example():
@@ -65,7 +84,8 @@ def test_resultant_r_of_t():
     g2v = parse("t4*x0 + t10", table)
     g3v = parse("x0^3 + t6*x0^2 + t12*x0 + t18", table)
     res = resultant(g2v, g3v, "x0")
-    expected = parse("-t10^3 - t4^2*t10*t12 + t4^3*t18 + t4*t6*t10^2", table)
+    t_table = VariableTable(("t4", "t6", "t10", "t12", "t18"), (4, 6, 10, 12, 18))
+    expected = parse("-t10^3 - t4^2*t10*t12 + t4^3*t18 + t4*t6*t10^2", t_table)
     assert res == expected
 
 
@@ -199,7 +219,7 @@ def test_disc_r_intermediates_stay_small(monkeypatch):
 def test_resultant_constant_operand():
     c = parse("a", XT)
     f = parse("x^2 + b", XT)
-    assert resultant(c, f, "x") == parse("a^2", XT)
+    assert resultant(c, f, "x") == parse("a^2", AB)
     with pytest.raises(BothConstantError):
         resultant(c, parse("b", XT), "x")
 
@@ -275,3 +295,25 @@ def test_bareiss_resultant_of_a_singular_sylvester_matrix_is_a_polynomial():
     res = _bareiss_resultant(f, g, "x")
     assert isinstance(res, WeightedPolynomial) and res.is_zero()
     assert resultant(f, g, "x") == res
+
+
+def test_resultant_of_operands_over_different_tables_raises():
+    f = parse("a*x + 1", VariableTable(("a", "x"), (1, 1)))
+    g = parse("b*x^2 + c", VariableTable(("b", "c", "x"), (1, 1, 1)))
+    with pytest.raises(TableMismatchError):
+        resultant(f, g, "x")
+    with pytest.raises(TableMismatchError):
+        resultant(g, f, "x")
+
+
+def test_eliminants_land_on_the_parameter_tables():
+    # no conversion: the table without the eliminated variable is the
+    # parameter table by value
+    from k3verify import families
+
+    g2v, g3v = families.dual_polynomials()
+    assert resultant(g2v, g3v, "x0").table == families.T_TABLE
+    assert families.r_poly().table == families.T_TABLE
+    assert families.disc_factorization().disc.table == families.T_TABLE
+    assert families.cd_r0_poly().table == families.CD_TABLE
+    assert families.cd_disc_factorization().disc.table == families.CD_TABLE
