@@ -19,12 +19,7 @@ from . import upoly
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
 from .upoly import factor_mod_p
 from .weierstrass import WeierstrassModel
-from .wpoly import (
-    VariableTable,
-    WeightedPolynomial,
-    parse,
-    render,
-)
+from .wpoly import VariableTable, WeightedPolynomial, _power_rows, parse, render
 
 T_TABLE = VariableTable(("t4", "t6", "t10", "t12", "t18"), (4, 6, 10, 12, 18))
 
@@ -177,24 +172,47 @@ def delta_t_poly() -> WeightedPolynomial:
     return _var(T_TABLE, "t18") * printed_d90()
 
 
+def _pit_specialization():
+    """The function t -> (r(t), d90(t), the seven x0-coefficients of R(t)),
+    all ``int`` at an integer t.  Each term of the three is built once into
+    an index form (slot, coefficient, positions) on one power table of t;
+    slot 0 is r, slot 1 is d90 and slot 2 + e the x0^e coefficient of R."""
+    terms = [(0, exp, c) for exp, c in r_poly().terms.items()]
+    terms += [(1, exp, c) for exp, c in printed_d90().terms.items()]
+    terms += [(2 + exp[5], exp, c) for exp, c in big_r_symbolic().terms.items()]
+    tops = [max(exp[i] for _slot, exp, _c in terms) for i in range(5)]
+    offsets = [sum(tops[:i]) + i for i in range(5)]
+    # zip stops at the five t coordinates, leaving out the exponent of x0
+    form = [(slot, c, [o + e for o, e in zip(offsets, exp) if e]) for slot, exp, c in terms]
+
+    def at(t_point):
+        rows = _power_rows(tops, t_point)
+        values = [0] * 9
+        for slot, c, index in form:
+            for k in index:
+                c *= rows[k]
+            values[slot] += c
+        return values[0], values[1], values[2:]
+    return at
+
+
 def pit_disc_factorization(cfg: PitConfig):
     """Numeric check disc(R) = c * r^3 * d90 without symbolic elimination.
 
-    R is specialized at random parameter points, its univariate discriminant
-    in x0 is computed exactly, and the constant c is fitted from the first
-    usable trial and then required to be constant across all trials.  Returns
-    (c, trials_used, ok, witness) where witness names a failing point if any.
+    R is specialized at random integer parameter points, its univariate
+    discriminant in x0 is computed exactly, and the constant c is fitted
+    from the first usable trial and then required to be constant across all
+    trials.  Each trial reads r(t), d90(t) and R(t) in ``int`` from one power
+    table (``_pit_specialization``) and compares disc * den == num * r^3 *
+    d90 against the fitted c = num / den.  Returns (c, trials_used, ok,
+    witness) with c a ``Fraction`` and witness a failing point if any.
     """
-    r = r_poly()
-    d90 = printed_d90()
-    big_r = big_r_symbolic()
+    specialize = _pit_specialization()
     c_fit = None
     used = 0
     for trial in range(cfg.trials):
         t_point = sample_point(cfg, trial, 5)
-        r_val = r.evaluate(t_point)
-        d_val = d90.evaluate(t_point)
-        coeffs = big_r.univariate_at("x0", t_point + (0,))
+        r_val, d_val, coeffs = specialize(t_point)
         if coeffs[-1] == 0:
             continue
         disc_val = upoly.discriminant(tuple(coeffs))
@@ -204,10 +222,10 @@ def pit_disc_factorization(cfg: PitConfig):
             if disc_val != 0:
                 return c_fit, used, False, t_point
             continue
-        ratio = disc_val / rhs
         if c_fit is None:
-            c_fit = ratio
-        elif ratio != c_fit:
+            c_fit = Fraction(disc_val, rhs)
+            num, den = c_fit.numerator, c_fit.denominator
+        elif disc_val * den != num * rhs:
             return c_fit, used, False, t_point
     return c_fit, used, c_fit is not None, None
 

@@ -10,9 +10,9 @@ g2, g3 and Delta are constant, so the Kodaira type is decided per stratum.
 
 A model holds g2, g3 and the primitive part of Delta over Z, cleared of
 denominators once when it is built, and the strata, gcds, multiplicities and
-valuations are computed on them in Z[x] (see ``upoly``).  ``Fraction``
-returns only at the boundary: the monic strata of ``squarefree_strata`` and
-rational places.  A stratum of several roots keeps its integer polynomial as
+valuations are computed in Z[x] (see ``upoly``) on Delta and on the primitive
+parts of g2 and g3.  ``Fraction`` returns only at the boundary: the monic
+strata of ``squarefree_strata`` and rational places.  A stratum of several roots keeps its integer polynomial as
 its place; only the error for a model not minimal along it renders one.
 
 The classification is cached on the model: the Yun strata of Delta, the
@@ -202,6 +202,12 @@ class WeierstrassModel:
         minimal = _minimalize(self)
         return None if minimal is self else minimal
 
+    @cached_property
+    def _primitive(self):
+        """The primitive parts of g2 and g3, which give the same multiplicity
+        at every finite place without the l^4 and l^6 of the denominators."""
+        return upoly.primitive(self.g2)[1], upoly.primitive(self.g3)[1]
+
     @property
     def minimal_model(self) -> "WeierstrassModel":
         return self._reduction or self
@@ -218,7 +224,7 @@ def local_valuations(model: WeierstrassModel, point):
     the bounds are the model's (4h, 6h, 12h); an identically zero g2 or g3
     reports INFINITY.
     """
-    parts = (model.g2, model.g3, model.delta)
+    parts = (*model._primitive, model.delta)
     if point is INFINITY:
         return tuple([
             INFINITY if not p else bound - (len(p) - 1)
@@ -343,6 +349,10 @@ def fiber_configuration(model: WeierstrassModel) -> FiberConfiguration:
 
 
 def _classify(model: WeierstrassModel) -> FiberConfiguration:
+    """The configuration of a minimal model, read on the primitive parts of
+    g2 and g3.  A stratum of Delta of multiplicity 1 is typed I1 at once:
+    by Kodaira's table (Tate, LNM 476, 1975) v(Delta) = 1 forces v(g2) =
+    v(g3) = 0, so its two ``_mult_partition`` chains could not split it."""
     entries = []
     v2, v3, vd = local_valuations(model, INFINITY)
     t_inf = kodaira_from_valuations(v2, v3, vd)
@@ -350,20 +360,21 @@ def _classify(model: WeierstrassModel) -> FiberConfiguration:
         raise ValueError("model is not minimal at infinity")
     if t_inf.euler_number:
         entries.append(FiberEntry(INFINITY, t_inf, 1))
+    g2, g3 = model._primitive
     for f, k in model.delta_strata:
-        for g, m2 in _mult_partition(f, model.g2):
-            for h, m3 in _mult_partition(g, model.g3):
-                t = kodaira_from_valuations(m2, m3, k)
-                if t is NON_MINIMAL:
-                    raise ValueError(
-                        f"model is not minimal along {_render(_monic(h))}"
-                    )
-                if t.euler_number == 0:
-                    continue
-                if len(h) == 2:
-                    entries.append(FiberEntry(Fraction(-h[0], h[1]), t, 1))
-                else:
-                    entries.append(FiberEntry(h, t, len(h) - 1))
+        parts = [(f, 0, 0)] if k == 1 else [
+            (h, m2, m3) for g, m2 in _mult_partition(f, g2)
+            for h, m3 in _mult_partition(g, g3)]
+        for h, m2, m3 in parts:
+            t = kodaira_from_valuations(m2, m3, k)
+            if t is NON_MINIMAL:
+                raise ValueError(f"model is not minimal along {_render(_monic(h))}")
+            if t.euler_number == 0:
+                continue
+            if len(h) == 2:
+                entries.append(FiberEntry(Fraction(-h[0], h[1]), t, 1))
+            else:
+                entries.append(FiberEntry(h, t, len(h) - 1))
     return FiberConfiguration(tuple(entries))
 
 

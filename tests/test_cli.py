@@ -259,6 +259,34 @@ def test_internal_error_exits_three(monkeypatch, capsys, command, target, exc):
     assert "Traceback" not in captured.err
 
 
+def test_all_reports_every_suite_when_two_raise(monkeypatch, capsys):
+    # a crashed suite becomes one error check; the other suites still run,
+    # the report is printed, and any error exits 3
+    monkeypatch.setattr(cli, "_MANIFEST", (
+        ("dims", cli.run_dims),
+        ("lattices", _raise(ValueError("bad gram"))),
+        ("cd", _raise(KeyError("alpha"))),
+        ("irreducible", cli.run_irreducible),
+    ))
+    assert main(["all", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert list(report["suite_runtime_ms"]) == ["dims", "lattices", "cd", "irreducible"]
+    errors = [c for c in report["checks"] if c["status"] == "error"]
+    assert errors == [
+        {"name": "lattices", "status": "error", "details": "ValueError: bad gram"},
+        {"name": "cd", "status": "error", "details": "KeyError: 'alpha'"},
+    ]
+    others = {c["name"]: c["status"] for c in report["checks"] if c not in errors}
+    assert others["irreducible.d90 irreducible over Q"] == "pass"
+    assert len(others) == 4 and set(others.values()) == {"pass"}
+    assert main(["all"]) == 3
+    text = capsys.readouterr().out
+    assert "[error       ] cd  -- KeyError: 'alpha'" in text
+    assert "suite irreducible: " in text
+
+
 def test_d90_check_recorded_failure_exits_one(monkeypatch, capsys):
     mismatch = families.ConsistencyFailure("d90 derivation differs in 1 monomials")
     monkeypatch.setattr(families, "d90_poly", _raise(mismatch))

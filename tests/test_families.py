@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from k3verify import families
-from k3verify.eliminate import PitConfig
+from k3verify.eliminate import PitConfig, sample_point
 from k3verify.families import (
     ParameterPoint,
     T_TABLE,
@@ -253,6 +253,39 @@ _PINNED_CERTIFICATES = (
 def test_pit_disc_factorization_pinned(seed):
     assert pit_disc_factorization(PitConfig(seed=seed)) == (
         Fraction(2176782336), 100, True, None)
+
+
+def test_pit_specialization_matches_evaluate_and_univariate_at():
+    # at seeded integer points, the one-table values are exactly those of the
+    # Fraction-returning evaluate and of univariate_at, and all are ints
+    specialize = families._pit_specialization()
+    cfg = PitConfig(trials=200, seed=24)
+    big_r = families.big_r_symbolic()
+    for trial in range(cfg.trials):
+        t = sample_point(cfg, trial, 5)
+        r_val, d_val, coeffs = specialize(t)
+        assert r_val == r_poly().evaluate(t)
+        assert d_val == printed_d90().evaluate(t)
+        assert coeffs == big_r.univariate_at("x0", t + (0,))
+        assert all(type(v) is int for v in (r_val, d_val, *coeffs))
+
+
+def test_pit_fails_on_one_coefficient_of_r_off_by_one(monkeypatch):
+    specialization = families._pit_specialization
+
+    def off_by_one():
+        specialize = specialization()
+
+        def at(t):
+            r_val, d_val, coeffs = specialize(t)
+            coeffs[2] += 1
+            return r_val, d_val, coeffs
+        return at
+
+    monkeypatch.setattr(families, "_pit_specialization", off_by_one)
+    _c, used, ok, witness = pit_disc_factorization(PitConfig(trials=12, seed=3))
+    assert ok is False
+    assert used >= 2 and len(witness) == 5
 
 
 def test_irreducibility_certificates_pinned():

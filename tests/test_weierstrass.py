@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from k3verify.weierstrass import (
 )
 from k3verify.eliminate import PitConfig, sample_point
 from k3verify.families import ParameterPoint, build_s, random_certified_points, sample_points
+from regenerate_golden import FIBER_TABLE, GOLDEN
 
 
 def _points():
@@ -486,3 +488,46 @@ def test_non_minimal_along_a_stratum_names_its_monic_polynomial():
     model = WeierstrassModel(upoly.power(f, 4), upoly.power(f, 6))
     with pytest.raises(ValueError, match=r"not minimal along x0\^2 \+ 3/2$"):
         fiber_configuration(model)
+
+
+def _fiber_table_k3_models():
+    rows = json.loads((GOLDEN / FIBER_TABLE).read_text(encoding="utf-8"))["points"]
+    return [build_s(ParameterPoint(*row["t"])) for row in rows if row["is_k3"]]
+
+
+def test_a_stratum_of_multiplicity_one_is_all_i1():
+    # v(Delta) = 1 forces v(g2) = v(g3) = 0, which is why _classify types
+    # such a stratum I1 without partitioning it
+    table = _fiber_table_k3_models()
+    models = [m for seed in range(4) for m in _seeded_models(seed)] + table
+    simple = 0
+    for model in models:
+        minimal = minimalize_everywhere(model)
+        for f, k in minimal.delta_strata:
+            if k == 1:
+                simple += 1
+                assert weierstrass._mult_partition(f, minimal.g2) == [(f, 0)]
+                assert weierstrass._mult_partition(f, minimal.g3) == [(f, 0)]
+    assert simple >= len(table)  # every K3 row has I1 fibers
+
+
+def test_classification_on_primitive_parts_matches_the_full_parts(monkeypatch):
+    # l^4 and l^6 change no multiplicity at a finite place: at coordinates
+    # with 40-digit denominators the primitive parts are far smaller, and the
+    # configuration and valuations are those read on g2 and g3 themselves
+    rng = random.Random(40)
+    points = [[Fraction(rng.randrange(1, 10 ** 40), rng.randrange(1, 10 ** 40))
+               for _ in range(5)] for _ in range(6)]
+
+    def classified(t):
+        model = build_s(ParameterPoint(*t))
+        valuations = [local_valuations(model, x) for x in (Fraction(0), -t[1] / t[0], INFINITY)]
+        return model, fiber_configuration(model), valuations
+
+    on_primitive = [classified(t) for t in points]
+    for model, _config, _valuations in on_primitive:
+        g2, g3 = model._primitive
+        assert (1, g2) == upoly.primitive(g2) and (1, g3) == upoly.primitive(g3)
+        assert len(str(max(map(abs, g3)))) * 5 < len(str(max(map(abs, model.g3))))
+    monkeypatch.setattr(WeierstrassModel, "_primitive", property(lambda m: (m.g2, m.g3)))
+    assert [classified(t)[1:] for t in points] == [c[1:] for c in on_primitive]
