@@ -19,7 +19,7 @@ from . import upoly
 from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
 from .upoly import factor_mod_p
 from .weierstrass import WeierstrassModel
-from .wpoly import VariableTable, WeightedPolynomial, _power_rows, parse, render
+from .wpoly import VariableTable, WeightedPolynomial, parse, render, specializer
 
 T_TABLE = VariableTable(("t4", "t6", "t10", "t12", "t18"), (4, 6, 10, 12, 18))
 
@@ -174,26 +174,18 @@ def delta_t_poly() -> WeightedPolynomial:
 
 def _pit_specialization():
     """The function t -> (r(t), d90(t), the seven x0-coefficients of R(t)),
-    all ``int`` at an integer t.  Each term of the three is built once into
-    an index form (slot, coefficient, positions) on one power table of t;
-    slot 0 is r, slot 1 is d90 and slot 2 + e the x0^e coefficient of R."""
-    terms = [(0, exp, c) for exp, c in r_poly().terms.items()]
-    terms += [(1, exp, c) for exp, c in printed_d90().terms.items()]
-    terms += [(2 + exp[5], exp, c) for exp, c in big_r_symbolic().terms.items()]
-    tops = [max(exp[i] for _slot, exp, _c in terms) for i in range(5)]
-    offsets = [sum(tops[:i]) + i for i in range(5)]
-    # zip stops at the five t coordinates, leaving out the exponent of x0
-    form = [(slot, c, [o + e for o, e in zip(offsets, exp) if e]) for slot, exp, c in terms]
+    all ``int`` at an integer t, from one ``specializer`` of all their
+    terms: slot 0 is r, slot 1 is d90 and slot 2 + e the x0^e coefficient
+    of R, whose terms leave out the exponent of x0."""
+    parts = [(0, exp, c) for exp, c in r_poly().terms.items()]
+    parts += [(1, exp, c) for exp, c in printed_d90().terms.items()]
+    parts += [(2 + exp[5], exp[:5], c) for exp, c in big_r_symbolic().terms.items()]
+    at = specializer(parts, 9)
 
-    def at(t_point):
-        rows = _power_rows(tops, t_point)
-        values = [0] * 9
-        for slot, c, index in form:
-            for k in index:
-                c *= rows[k]
-            values[slot] += c
+    def split(t_point):
+        values = at(t_point)
         return values[0], values[1], values[2:]
-    return at
+    return split
 
 
 def pit_disc_factorization(cfg: PitConfig):
@@ -202,10 +194,11 @@ def pit_disc_factorization(cfg: PitConfig):
     R is specialized at random integer parameter points, its univariate
     discriminant in x0 is computed exactly, and the constant c is fitted
     from the first usable trial and then required to be constant across all
-    trials.  Each trial reads r(t), d90(t) and R(t) in ``int`` from one power
-    table (``_pit_specialization``) and compares disc * den == num * r^3 *
-    d90 against the fitted c = num / den.  Returns (c, trials_used, ok,
-    witness) with c a ``Fraction`` and witness a failing point if any.
+    trials.  Each trial reads r(t), d90(t) and R(t) in ``int`` from one
+    ``wpoly.specializer`` of all their terms (``_pit_specialization``) and
+    compares disc * den == num * r^3 * d90 against the fitted c = num / den.
+    Returns (c, trials_used, ok, witness) with c a ``Fraction`` and witness
+    a failing point if any.
     """
     specialize = _pit_specialization()
     c_fit = None

@@ -12,10 +12,11 @@ operands divided exactly, as in each step of the subresultant chain of the
 weight-180 discriminant, is formed from big-int products with one variable
 packed into each coefficient (``_Kernel.dot_div``).
 
-Rationals appear only in evaluation, which takes a rational point, and in
-``render_terms``, which also writes ``Fraction`` coefficients.  Evaluation
-runs on an index form that each polynomial builds at most once and keeps,
-which is sound because no operation mutates ``terms`` after construction.
+Rationals appear only at points, whose coordinates are ``int`` or
+``Fraction``, and in ``render_terms``, which also writes ``Fraction``
+coefficients.  Each polynomial keeps the ``specializer``s that ``evaluate``
+and ``univariate_at`` build for it, which is sound because no operation
+mutates ``terms`` after construction.
 
 The text format is a regular grammar, read term by term with anchored ``re``
 matches: an optional sign (required before every term but the first), an
@@ -108,17 +109,17 @@ class WeightedPolynomial:
     """A sparse polynomial over Z, graded by the table's variable weights.
 
     ``terms`` is never mutated once the polynomial is built: every operation
-    returns a new polynomial, and the index form cached in ``_integral``
-    relies on that.  Arithmetic and ``==`` take polynomials and ``int``s
+    returns a new polynomial, and the specializers cached in ``_specializers``
+    rely on that.  Arithmetic and ``==`` take polynomials and ``int``s
     only, so a polynomial never equals a ``Fraction`` or a ``float``.
     """
 
-    __slots__ = ("table", "terms", "_integral")
+    __slots__ = ("table", "terms", "_specializers")
 
     def __init__(self, table: VariableTable, terms: dict):
         self.table = table
         self.terms = terms
-        self._integral = None
+        self._specializers = {}  # var, or None for evaluate -> specializer
 
     # -- constructors ------------------------------------------------------
 
@@ -251,64 +252,37 @@ class WeightedPolynomial:
 
     # -- evaluation and derivative -----------------------------------------
 
-    def _integer_form(self):
-        """(tops, indices), built on first use.
-
-        ``tops`` holds the top exponent of each variable.  ``indices[k]``
-        lists the nonzero (variable, exponent) pairs of the k-th term of
-        ``terms``, in dict order, as positions ``offset[variable] + exponent``
-        in the concatenated power rows that ``_power_rows`` builds for these
-        ``tops``.
-        """
-        form = self._integral
-        if form is None:
-            tops = [0] * len(self.table)
-            for exp in self.terms:
-                tops = [max(t, e) for t, e in zip(tops, exp)]
-            offsets, end = [], 0
-            for top in tops:
-                offsets.append(end)
-                end += top + 1
-            indices = [[o + e for o, e in zip(offsets, exp) if e] for exp in self.terms]
-            form = self._integral = (tops, indices)
-        return form
-
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a point given as one rational per variable.
-
-        Runs on the index form, built once per polynomial, and one row of
-        powers per coordinate.  At an integer point the sum is all ``int``
-        and only the result is made a ``Fraction``.
-        """
+    def _specialized(self, var, point):
+        """The sums of this polynomial's specializer for ``var`` at ``point``:
+        one sum for ``var`` None, else the coefficient of each power of
+        ``var``, whose exponent is set to 0 so its coordinate is never read."""
         if len(point) != len(self.table):
             raise ValueError("point length does not match variable table")
-        tops, indices = self._integer_form()
-        rows = _power_rows(tops, point)
-        total = 0
-        for c, index in zip(self.terms.values(), indices):
-            for k in index:
-                c *= rows[k]
-            total += c
-        return Fraction(total)
+        at = self._specializers.get(var)
+        if at is None:
+            if var is None:
+                parts, width = [(0, exp, c) for exp, c in self.terms.items()], 1
+            else:
+                i = self.table.index(var)
+                parts = [(e[i], e[:i] + (0,) + e[i + 1 :], c) for e, c in self.terms.items()]
+                width = 1 + max((slot for slot, _exp, _c in parts), default=-1)
+            at = self._specializers[var] = specializer(parts, width)
+        return at(point)
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point given as one ``int`` or ``Fraction`` per
+        variable.  At an integer point the sum is all ``int`` and only the
+        result is made a ``Fraction``."""
+        return Fraction(self._specialized(None, point)[0])
 
     def univariate_at(self, var: str, point):
         """The coefficients of ``var``'s powers, lowest first, at ``point``.
 
-        ``point`` holds one rational per variable; the entry for ``var`` is
-        ignored.  At an integer point every coefficient is an ``int``.  The
-        zero polynomial gives ``[]``.
+        ``point`` holds one ``int`` or ``Fraction`` per variable; the entry
+        for ``var`` is never read.  At an integer point every coefficient is
+        an ``int``.  The zero polynomial gives ``[]``.
         """
-        i = self.table.index(var)
-        if len(point) != len(self.table):
-            raise ValueError("point length does not match variable table")
-        tops, indices = self._integer_form()
-        rows = _power_rows(tops, point, skip=i)
-        out = [0] * (tops[i] + 1) if indices else []
-        for (exp, c), index in zip(self.terms.items(), indices):
-            for k in index:
-                c *= rows[k]
-            out[exp[i]] += c
-        return out
+        return self._specialized(var, point)
 
     def derivative(self, var: str) -> "WeightedPolynomial":
         # distinct exponents stay distinct and every coefficient nonzero
@@ -330,28 +304,39 @@ class WeightedPolynomial:
         return kernel.poly(kernel.exact_div(*kernel.pack([self, other])))
 
 
-def _power_rows(tops, point, skip=-1):
-    """For each coordinate x the row x^e, e = 0..top, concatenated.
-
-    An integral coordinate gives an ``int`` row, so at an integer point every
-    product is an ``int``; only a coordinate with a denominator gives a
-    ``Fraction`` row.  The row of variable ``skip`` is all ones.
+def specializer(parts, width):
+    """The function of a point that gives ``width`` sums: each (slot,
+    exponents, coefficient) triple of ``parts`` adds its term at the point to
+    sum ``slot``.  Each term's positions in the concatenated power rows
+    x^0..x^top of the coordinates are found once, here; each call builds the
+    rows and never reads a coordinate whose top exponent is 0.  A coordinate
+    that is read must be an ``int`` or a ``Fraction``, and an integral one
+    gives an ``int`` row, so at an integer point every sum is an ``int``.
     """
-    rows = []
-    for i, (x, top) in enumerate(zip(point, tops)):
-        if i == skip:
-            rows += [1] * (top + 1)
-            continue
-        if type(x) is not int:
-            x = Fraction(x)
-            if x.denominator == 1:
-                x = x.numerator
-        p = 1
-        rows.append(p)
-        for _ in range(top):
-            p *= x
+    tops = [max(column) for column in zip(*(exp for _slot, exp, _c in parts))]
+    offsets = [sum(tops[:i]) + i for i in range(len(tops))]
+    form = [(slot, c, [o + e for o, e in zip(offsets, exp) if e]) for slot, exp, c in parts]
+
+    def at(point):
+        rows = []
+        for x, top in zip(point, tops):
+            if top and type(x) is not int:
+                if type(x) is not Fraction:
+                    raise ValueError(f"coordinates must be int or Fraction, got {x!r}")
+                if x.denominator == 1:
+                    x = x.numerator
+            p = 1
             rows.append(p)
-    return rows
+            for _ in range(top):
+                p *= x
+                rows.append(p)
+        sums = [0] * width
+        for slot, c, index in form:
+            for k in index:
+                c *= rows[k]
+            sums[slot] += c
+        return sums
+    return at
 
 
 # -- packed-monomial integer kernel -------------------------------------------

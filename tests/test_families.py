@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -256,18 +257,30 @@ def test_pit_disc_factorization_pinned(seed):
 
 
 def test_pit_specialization_matches_evaluate_and_univariate_at():
-    # at seeded integer points, the one-table values are exactly those of the
-    # Fraction-returning evaluate and of univariate_at, and all are ints
+    # at seeded integer points, and at seeded points with non-integer
+    # rational coordinates, the one-table values are exactly those of the
+    # Fraction-returning evaluate and of univariate_at; at integer points
+    # all are ints
     specialize = families._pit_specialization()
     cfg = PitConfig(trials=200, seed=24)
+    rng = random.Random(24)
+    rational = [tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(5))
+                for _ in range(40)]
+    assert all(any(x.denominator > 1 for x in t) for t in rational)
     big_r = families.big_r_symbolic()
-    for trial in range(cfg.trials):
-        t = sample_point(cfg, trial, 5)
+    for t in [sample_point(cfg, trial, 5) for trial in range(cfg.trials)] + rational:
         r_val, d_val, coeffs = specialize(t)
         assert r_val == r_poly().evaluate(t)
         assert d_val == printed_d90().evaluate(t)
         assert coeffs == big_r.univariate_at("x0", t + (0,))
-        assert all(type(v) is int for v in (r_val, d_val, *coeffs))
+        if all(type(x) is int for x in t):
+            assert all(type(v) is int for v in (r_val, d_val, *coeffs))
+
+
+def test_univariate_at_never_reads_the_coordinate_of_its_variable():
+    d90 = printed_d90()
+    assert d90.univariate_at("t18", (1, 1, 1, 1, None)) == d90.univariate_at("t18", (1, 1, 1, 1, 0))
+    assert d90.univariate_at("t4", ("x", 2, -1, 3, 5)) == d90.univariate_at("t4", (7, 2, -1, 3, 5))
 
 
 def test_pit_fails_on_one_coefficient_of_r_off_by_one(monkeypatch):

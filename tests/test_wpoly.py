@@ -21,6 +21,7 @@ from k3verify.wpoly import (
     _Kernel,
     parse,
     render,
+    specializer,
 )
 
 T = VariableTable(("t4", "t6", "t10", "t12", "t18"), (4, 6, 10, 12, 18))
@@ -415,7 +416,7 @@ def test_integer_form_evaluate_property():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(polys, points, points)
     def check(p, first, second):
-        # the second call reuses the integer form built by the first
+        # the second call reuses the specializer built by the first
         for point in (first, second):
             value = p.evaluate(point)
             assert isinstance(value, Fraction)
@@ -437,6 +438,29 @@ def test_evaluate_checks_the_point_length():
     with pytest.raises(ValueError):
         p.univariate_at("t4", (1, 2))
     assert WeightedPolynomial.zero(T).univariate_at("t4", (1,) * 5) == []
+
+
+def test_points_take_only_int_or_fraction_coordinates():
+    r = parse("t10^3 + t4^2*t10*t12 - t4^3*t18 - t4*t6*t10^2", T)
+    for bad in (1.9, "2", True):
+        for k in range(5):
+            point = [1] * 5
+            point[k] = bad
+            with pytest.raises(ValueError):
+                r.evaluate(tuple(point))
+            if k:
+                with pytest.raises(ValueError):
+                    r.univariate_at("t4", tuple(point))
+    # a coordinate whose variable no term holds is never read
+    assert parse("t4*t6 + 7", T).evaluate((2, 3, None, "x", 1.5)) == 13
+
+
+def test_specializer_sums_terms_into_slots():
+    # slot 0: 3*x*y^2 + 1 and slot 1: -x^3, at (x, y) = (2, 1/3); y's row is Fraction
+    at = specializer([(0, (1, 2), 3), (0, (0, 0), 1), (1, (3, 0), -1)], 2)
+    assert at((2, Fraction(1, 3))) == [Fraction(5, 3), -8]
+    assert [type(v) for v in at((2, Fraction(6, 3)))] == [int, int]
+    assert specializer([], 0)(()) == []
 
 
 def test_factor_mod_p_examples():
