@@ -17,6 +17,9 @@ Every division of the chain divides a sum of products, handed to the kernel
 as pairs (``_Kernel.dot_div``): large weighted-homogeneous ones, as in disc(R),
 are summed and divided as packed big ints, and a quotient is kept only when
 two coefficient bounds prove it exact (see ``wpoly._Kernel``).
+
+``delta_resultant`` gives res(R, R') for the families' R = 4x^e a^3 + 27b^2
+from two checked cofactor congruences; ``discriminant`` is its test oracle.
 """
 from __future__ import annotations
 
@@ -229,3 +232,47 @@ def discriminant(f: WeightedPolynomial, var: str) -> WeightedPolynomial:
     kernel, (a, b) = _split([f, f.derivative(var)], var)
     quotient = kernel.poly(kernel.exact_div(_resultant_ducos(a, b, kernel), a[-1]))
     return -quotient if (n * (n - 1) // 2) % 2 else quotient
+
+
+def delta_resultant(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: str):
+    """res(R, R') over the table without x = ``var``, for R = 4 x^e a^3 + 27 b^2.
+
+    For c = e a + 3x a', h = b c - 2x a b' and g = a c^2 + 27 x^(2-e) b'^2 it
+    checks 27 b R' = 108 x^(e-1) a^2 h + 54 b' R and h | R c^2 - 4 x^e a^2 g.
+    Products over the roots of R, then of h, turn them into
+
+        res(R, R') res(R, b) = 4^n lc(R)^(n-e-3) res(R, x)^(e-1) res(R, a)^2 res(R, h)
+        res(h, R) res(h, c)^2 = 4^m res(h, x)^e res(h, a)^2 res(h, g)
+
+    with n = deg R, m = deg h = deg b + 1 and deg g = n - e.  Only res(h, g)
+    runs a long chain; each other resultant is a power of res(a, b) or of
+    res(c, b') times a small cofactor, divided out exactly first.  A shape
+    that fails the checks below, or has res(a, b) res(c, b') = 0, raises
+    ValueError before that.
+    """
+    a._check_table(b)
+    i = a.table.index(var)
+    if (a.degree_in(var) != 1 or e not in (1, 2) or 2 * b.degree_in(var) in (0, e + 3)
+            or not all(any(exp[i] == 0 for exp in p.terms) for p in (a, b))):
+        raise ValueError("needs a linear a, e in (1, 2), 2 deg b not in (0, e + 3), a(0) b(0) != 0")
+    x, db = WeightedPolynomial.variable(a.table, var), b.derivative(var)
+    c = e * a + 3 * x * a.derivative(var)
+    ab, beta = resultant(a, b, var), resultant(c, db, var)
+    if ab.is_zero() or beta.is_zero():
+        raise ValueError("res(a, b) or res(c, b') vanishes")
+    big = 4 * x ** e * a ** 3 + 27 * b ** 2
+    h = b * c - 2 * x * a * db
+    g = a * c ** 2 + 27 * x ** (2 - e) * db ** 2
+    if 27 * b * big.derivative(var) != 108 * x ** (e - 1) * a ** 2 * h + 54 * db * big:
+        raise ArithmeticError("27 b R' != 108 x^(e-1) a^2 h + 54 b' R")
+    (big * c ** 2 - 4 * x ** e * a ** 2 * g).exact_div(h)
+    n, m = big.degree_in(var), h.degree_in(var)
+    kernel, (coeffs,) = _split([big], var)
+    numerator = ((-1) ** (n * m) * 4 ** (n + m) * kernel.poly(coeffs[-1]) ** (n - e - 3)
+                 * resultant(big, x, var) ** (e - 1) * resultant(h, x, var) ** e
+                 * resultant(big, a, var).exact_div(ab ** 2) ** 2
+                 * resultant(h, a, var).exact_div(ab) ** 2
+                 * resultant(h, g, var).exact_div(beta ** 2))
+    denominator = (resultant(big, b, var).exact_div(ab ** 3)
+                   * resultant(h, c, var).exact_div(beta) ** 2)
+    return (numerator * ab ** 3).exact_div(denominator)

@@ -16,10 +16,13 @@ from math import gcd
 from typing import NamedTuple
 
 from . import upoly
-from .eliminate import PitConfig, discriminant, resultant, sample_point, splitmix64
+from .eliminate import PitConfig, delta_resultant, resultant, sample_point, splitmix64
 from .upoly import factor_mod_p
 from .weierstrass import WeierstrassModel
 from .wpoly import VariableTable, WeightedPolynomial, parse, render, specializer
+
+# Not used here: benchmarks/test_benchmark.py reads it to check the tracer.
+from .eliminate import discriminant  # noqa: F401
 
 T_TABLE = VariableTable(("t4", "t6", "t10", "t12", "t18"), (4, 6, 10, 12, 18))
 
@@ -44,11 +47,15 @@ class ConsistencyFailure(AssertionError):
 
 class ParameterPoint:
     """A nonzero point (t4, t6, t10, t12, t18) of the weighted parameter
-    space, with ``Fraction`` coordinates; equal by value."""
+    space, equal by value, with ``Fraction`` coordinates from ``int``,
+    ``Fraction`` or exact text such as "-3/2", never ``float`` or ``bool``."""
 
     __slots__ = ("t4", "t6", "t10", "t12", "t18")
 
     def __init__(self, t4, t6, t10, t12, t18):
+        for v in (t4, t6, t10, t12, t18):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+                raise ValueError(f"coordinates must be int, Fraction or text, got {v!r}")
         self.t4, self.t6, self.t10, self.t12, self.t18 = map(Fraction, (t4, t6, t10, t12, t18))
         if not any(self.as_tuple()):
             raise ValueError("parameter point must be nonzero")
@@ -144,11 +151,12 @@ class DiscFactorization(NamedTuple):
 def disc_factorization() -> DiscFactorization:
     """Symbolic factorization of the weight-180 discriminant of R.
 
-    The quotient disc / r^3 is computed by exact division; its content is the
-    constant c and its primitive part is the derived d90.  Nothing is assumed
-    about c; it is reported in the result.
+    disc(R) = -res(R, R') / 27 by ``delta_resultant`` of the dual polynomials
+    (e = 1).  The quotient disc / r^3 is computed by exact division; its
+    content is the constant c and its primitive part is the derived d90.
+    Nothing is assumed about c; it is reported in the result.
     """
-    disc = discriminant(big_r_symbolic(), "x0")
+    disc = delta_resultant(*dual_polynomials(), 1, "x0").exact_div(-27)
     quotient = disc.exact_div(r_poly() ** 3)
     c = _content_and_sign(quotient)
     derived = quotient.exact_div(c)
@@ -263,18 +271,15 @@ class CdDiscFactorization(NamedTuple):
 def cd_disc_factorization() -> CdDiscFactorization:
     """Factor the discriminant of the degree-5 polynomial R0 of the CD model.
 
-    The discriminant is taken in the resultant normalization res(R0, R0'),
-    which keeps the leading coefficient -4 gamma^3 of the quintic as a factor;
-    that is exactly the gamma^3 in the stated product (the lc-divided
-    discriminant carries only r0^3 * d0).
+    R0 = 4 x1^2 a^3 + 27 b^2 for a = g2 / x1^4 and b = g3 / x1^5, so
+    ``delta_resultant`` (e = 2) gives the discriminant in the resultant
+    normalization res(R0, R0'), which keeps the leading coefficient
+    -4 gamma^3 of the quintic as a factor; that is exactly the gamma^3 in the
+    stated product (the lc-divided discriminant carries only r0^3 * d0).
     """
     g2, g3 = build_scd_symbolic()
     x1 = _var(CDX_TABLE, "x1")
-    big = 4 * g2 ** 3 + 27 * g3 ** 2
-    r0_big = big.exact_div(x1 ** 10)
-    if r0_big.degree_in("x1") != 5:
-        raise ConsistencyFailure("R0 is not a quintic in x1")
-    res = resultant(r0_big, r0_big.derivative("x1"), "x1")
+    res = delta_resultant(g2.exact_div(x1 ** 4), g3.exact_div(x1 ** 5), 2, "x1")
     gamma = _var(CD_TABLE, "gamma")
     r0 = cd_r0_poly()
     quotient = res.exact_div(gamma ** 3).exact_div(r0 ** 3)

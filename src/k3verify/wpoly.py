@@ -310,32 +310,39 @@ def specializer(parts, width):
     sum ``slot``.  Each term's positions in the concatenated power rows
     x^0..x^top of the coordinates are found once, here; each call builds the
     rows and never reads a coordinate whose top exponent is 0.  A coordinate
-    that is read must be an ``int`` or a ``Fraction``, and an integral one
-    gives an ``int`` row, so at an integer point every sum is an ``int``.
+    that is read must be an ``int`` or a ``Fraction``.  Every row is ``int``,
+    so at an integer point every sum is an ``int``; a coordinate n/d gives the
+    row n^e d^(top - e), read at e = 0 too, and each sum one ``Fraction``
+    over the product of the d^top.
     """
     tops = [max(column) for column in zip(*(exp for _slot, exp, _c in parts))]
     offsets = [sum(tops[:i]) + i for i in range(len(tops))]
     form = [(slot, c, [o + e for o, e in zip(offsets, exp) if e]) for slot, exp, c in parts]
+    rational_form = [(slot, c, [o + e for o, e, top in zip(offsets, exp, tops) if top])
+                     for slot, exp, c in parts]
 
     def at(point):
-        rows = []
+        rows, den = [], 1
         for x, top in zip(point, tops):
+            d = 1
             if top and type(x) is not int:
                 if type(x) is not Fraction:
                     raise ValueError(f"coordinates must be int or Fraction, got {x!r}")
-                if x.denominator == 1:
-                    x = x.numerator
+                x, d = x.numerator, x.denominator
             p = 1
             rows.append(p)
             for _ in range(top):
                 p *= x
                 rows.append(p)
+            if d != 1:
+                rows[-top - 1:] = [v * d ** (top - k) for k, v in enumerate(rows[-top - 1:])]
+                den *= d ** top
         sums = [0] * width
-        for slot, c, index in form:
+        for slot, c, index in form if den == 1 else rational_form:
             for k in index:
                 c *= rows[k]
             sums[slot] += c
-        return sums
+        return sums if den == 1 else [Fraction(s, den) for s in sums]
     return at
 
 

@@ -333,8 +333,9 @@ def fresh_disc_factorization():
 def test_all_checks_the_symbolic_constant(monkeypatch, capsys, fresh_disc_factorization):
     # a doubled disc(R) keeps d90 as its primitive part, so d90-check passes;
     # only the exact constant of the symbolic disc-factor can fail
-    discriminant = families.discriminant
-    monkeypatch.setattr(families, "discriminant", lambda *args: 2 * discriminant(*args))
+    delta_resultant = families.delta_resultant
+    monkeypatch.setattr(families, "delta_resultant", lambda a, b, e, var: (
+        2 if var == "x0" else 1) * delta_resultant(a, b, e, var))
     assert main(["all", "--json"]) == 1
     statuses = _statuses(capsys)
     assert statuses["disc-factor.disc(R) = c * r^3 * d90 (symbolic)"] == "pass"

@@ -317,3 +317,66 @@ def test_eliminants_land_on_the_parameter_tables():
     assert families.disc_factorization().disc.table == families.T_TABLE
     assert families.cd_r0_poly().table == families.CD_TABLE
     assert families.cd_disc_factorization().disc.table == families.CD_TABLE
+
+
+def _delta_oracle(a, b, e, var):
+    x = WeightedPolynomial.variable(a.table, var)
+    big = 4 * x ** e * a ** 3 + 27 * b ** 2
+    return resultant(big, big.derivative(var), var)
+
+
+def test_delta_resultant_matches_the_chain_on_both_families():
+    from k3verify import families
+
+    g2v, g3v = families.dual_polynomials()
+    assert eliminate.delta_resultant(g2v, g3v, 1, "x0") == _delta_oracle(g2v, g3v, 1, "x0")
+    g2, g3 = families.build_scd_symbolic()
+    x1 = WeightedPolynomial.variable(families.CDX_TABLE, "x1")
+    a, b = g2.exact_div(x1 ** 4), g3.exact_div(x1 ** 5)
+    assert eliminate.delta_resultant(a, b, 2, "x1") == _delta_oracle(a, b, 2, "x1")
+
+
+def _rand_coefficient(rng):
+    """A nonzero term k, k*a or k*b with k in [-3, 3]."""
+    exp = rng.choice(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    return WeightedPolynomial.from_terms(XT, {exp: rng.choice((-3, -2, -1, 1, 2, 3))})
+
+
+def test_delta_resultant_matches_the_chain_on_random_shapes():
+    rng = random.Random(2028)
+    x = WeightedPolynomial.variable(XT, "x")
+    served = 0
+    for _ in range(130):
+        e = rng.choice((1, 2))
+        degree = rng.choice((1, 3) if e == 1 else (1, 2, 3))
+        a = _rand_coefficient(rng) * x + _rand_coefficient(rng)
+        b = _rand_coefficient(rng) * x ** degree + _rand_coefficient(rng)
+        for k in range(1, degree):
+            b = b + rng.randint(0, 1) * _rand_coefficient(rng) * x ** k
+        try:
+            got = eliminate.delta_resultant(a, b, e, "x")
+        except ValueError:
+            # refused only when res(a, b) or res(c, b') vanishes
+            c = e * a + 3 * x * a.derivative("x")
+            assert resultant(a, b, "x").is_zero() or resultant(
+                c, b.derivative("x"), "x").is_zero()
+            continue
+        assert got == _delta_oracle(a, b, e, "x"), (render(a), render(b), e)
+        served += 1
+    assert served >= 100
+
+
+@pytest.mark.parametrize("a, b, e, reason", [
+    ("x^2 + 1", "x^3 + 1", 1, "needs"),  # a not linear
+    ("x + 1", "x^3 + 1", 3, "needs"),    # e outside 1, 2
+    ("x + 1", "x^3 + 1", 0, "needs"),
+    ("x + 1", "a", 1, "needs"),          # b constant in x
+    ("x + 1", "x^2 + 1", 1, "needs"),    # 4 x a^3 and 27 b^2 both of degree 4
+    ("a*x", "x^3 + 1", 1, "needs"),      # x divides a
+    ("x + 1", "x^3 + x", 2, "needs"),    # x divides b
+    ("x + 1", "x^3 + 1", 1, "vanishes"),  # a and b share the root -1
+    ("x + 1", "8*x^3 + 15*x^2 + 6*x + 5", 1, "vanishes"),  # c = 4x + 1 divides b'
+])
+def test_delta_resultant_refuses_shapes_outside_the_served_one(a, b, e, reason):
+    with pytest.raises(ValueError, match=reason):
+        eliminate.delta_resultant(parse(a, XT), parse(b, XT), e, "x")

@@ -44,6 +44,17 @@ def test_parameter_point_validation():
     assert p.t6 == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("coords", [(1.9, 1, "2", 1, 1), (1, True, "2", 1, 1), (0.0, 0, 0, 0, 1)])
+def test_parameter_point_refuses_float_and_bool(coords):
+    with pytest.raises(ValueError, match="int, Fraction or text"):
+        ParameterPoint(*coords)
+
+
+def test_parameter_point_reads_exact_decimal_text():
+    p = ParameterPoint("0.25", Fraction(-3, 2), "-7/3", 0, "1e2")
+    assert p.as_tuple() == (Fraction(1, 4), Fraction(-3, 2), Fraction(-7, 3), 0, 100)
+
+
 def test_build_s_shape():
     model = build_s(ParameterPoint(1, 0, 0, 0, 1))
     # g2 = x0^4, g3 = x0^7 + x0^4

@@ -463,6 +463,18 @@ def test_specializer_sums_terms_into_slots():
     assert specializer([], 0)(()) == []
 
 
+def test_specializer_puts_a_rational_point_over_one_denominator():
+    # terms of x^0 read d^top of each rational coordinate; a coordinate whose
+    # top exponent is 0 is never read
+    parts = [(0, (2, 1, 0), 3), (0, (0, 0, 0), -1), (1, (1, 0, 0), 5), (1, (0, 3, 0), 2)]
+    at = specializer(parts, 2)
+    x, y = Fraction(-2, 3), Fraction(5, 7)
+    assert at((x, y, "unread")) == [3 * x ** 2 * y - 1, 5 * x + 2 * y ** 3]
+    assert at((x, 4, None)) == [3 * x ** 2 * 4 - 1, 5 * x + 128]
+    assert all(type(v) is Fraction for v in at((x, 4, None)))
+    assert at((3, 2, None)) == [53, 31] and all(type(v) is int for v in at((3, 2, None)))
+
+
 def test_factor_mod_p_examples():
     f = factor_mod_p([1, 0, 1], 5)  # x^2 + 1 = (x + 2)(x + 3) mod 5
     assert len(f.factors) == 2
