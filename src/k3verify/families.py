@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import upoly
 from .eliminate import PitConfig, delta_resultant, resultant, sample_point, splitmix64
-from .upoly import factor_mod_p
+from .upoly import irreducible_mod_p
 from .weierstrass import WeierstrassModel
 from .wpoly import VariableTable, WeightedPolynomial, parse, render, specializer
 
@@ -414,12 +414,7 @@ def irreducibility_certificate(
         for p in _CERTIFICATE_PRIMES:
             if coeffs[degree] % p == 0:
                 continue
-            factorization = factor_mod_p(coeffs, p)
-            if (
-                len(factorization.factors) == 1
-                and factorization.factors[0][1] == 1
-                and len(factorization.factors[0][0]) - 1 == degree
-            ):
+            if irreducible_mod_p(coeffs, p):
                 return IrreducibilityCertificate(
                     True,
                     prime=p,

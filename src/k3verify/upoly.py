@@ -11,9 +11,9 @@ sequence and Yun's loop on the x-free parts only: the discriminant of an
 elliptic fibration often carries a high power of x0, which no gcd needs to
 rediscover.
 
-Over F_p (the last section, ``factor_mod_p``) the same tuples hold
-coefficients in range(p), and only the steps that divide by a leading
-coefficient have loops of their own.
+Over F_p (the last section, ``irreducible_mod_p``: Ben-Or's irreducibility
+test) the same tuples hold coefficients in range(p), and only the steps that
+divide by a leading coefficient have loops of their own.
 
 Tuples are built from lists, never from generators: ``tuple`` of a generator
 allocates for ten items and resizes, and every such call leaves one block on
@@ -22,9 +22,7 @@ a tuple free list, which added about 1 MB to the peak RSS of a sweep.
 from __future__ import annotations
 
 import math
-import random
 from itertools import zip_longest
-from typing import NamedTuple
 
 
 def trim(a) -> tuple:
@@ -296,102 +294,26 @@ def _powmod_p(base, e: int, m, p: int) -> tuple:
     return result
 
 
-def _squarefree_p(f, p: int):
-    """Squarefree decomposition of a monic f in characteristic p as the list
-    of (g, multiplicity); a part with derivative zero is h(x^p) = h*(x)^p,
-    where h* = f[::p] takes the coefficientwise p-th root."""
-    d = _reduce(derivative(f), p)
-    if not d:
-        return [(g, m * p) for g, m in _squarefree_p(f[::p], p)]
-    out = []
-    w = _gcd_p(f, d, p)
-    v = _divmod_p(f, w, p)[0]  # product of the distinct factors
-    m = 1
-    while len(v) > 1:
-        g = _gcd_p(v, w, p)
-        piece = _divmod_p(v, g, p)[0]
-        if len(piece) > 1:
-            out.append((piece, m))
-        v = g
-        w = _divmod_p(w, g, p)[0]
-        m += 1
-    if len(w) > 1:
-        # what is left has multiplicities divisible by p
-        out.extend((g, k * p) for g, k in _squarefree_p(w[::p], p))
-    return out
+def irreducible_mod_p(coefficients, p: int) -> bool:
+    """Whether a univariate integer polynomial, listed from the constant term
+    up, is irreducible over the field with p elements.
 
-
-def _distinct_degree_p(f, p: int):
-    """Distinct-degree splitting of a monic squarefree f: [(product, d)]."""
-    out = []
-    x = (0, 1)
-    h = x
-    d = 0
-    rest = f
-    while len(rest) - 1 > 2 * d:
-        d += 1
-        h = _powmod_p(h, p, rest, p)
-        g = _gcd_p(rest, _reduce(combine(h, 1, x, -1), p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            rest = _divmod_p(rest, g, p)[0]
-    if len(rest) > 1:
-        out.append((rest, len(rest) - 1))
-    return out
-
-
-def _equal_degree_p(f, d: int, p: int, rng):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    irreducibles; p = 2 splits by the trace h + h^2 + ... + h^(2^(d-1))."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        h = tuple([rng.randrange(p) for _ in range(n)] + [1])
-        if p == 2:
-            t = acc = h
-            for _ in range(d - 1):
-                t = _mulmod_p(t, t, f, p)
-                acc = _reduce(combine(acc, 1, t, 1), p)
-            g = _gcd_p(f, acc, p)
-        else:
-            w = _powmod_p(h, (p ** d - 1) // 2, f, p)
-            g = _gcd_p(f, _reduce(combine(w, 1, (1,), -1), p), p)
-        if 0 < len(g) - 1 < n:
-            rest = _divmod_p(f, g, p)[0]
-            return _equal_degree_p(g, d, p, rng) + _equal_degree_p(rest, d, p, rng)
-
-
-class FactorizationModP(NamedTuple):
-    """unit * prod(factor^multiplicity) == input mod p, factors monic irreducible."""
-
-    modulus: int
-    unit: int
-    factors: tuple  # ((coeff tuple low..high, multiplicity), ...)
-
-
-def factor_mod_p(coefficients, p: int) -> FactorizationModP:
-    """Factor a univariate integer polynomial over the field with p elements.
-
-    ``coefficients`` are listed from the constant term up.  Squarefree
-    decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
-    equal-degree splitting (Math. Comp. 36, 1981).
+    Ben-Or's test ("Probabilistic algorithms in finite fields", FOCS 1981),
+    which needs no randomness: a monic f of degree n is reducible exactly
+    when it has an irreducible factor of degree d <= n/2, squarefree or not,
+    and that factor divides gcd(f, x^(p^d) - x).
     """
     if not _is_prime(p):
         raise CompositeModulusError(f"{p} is not prime")
     coeffs = trim([int(c) for c in coefficients])
     if not coeffs or coeffs[-1] % p == 0:
         raise LeadingCoefficientVanishesError("leading coefficient vanishes mod p")
-    f = _reduce(coeffs, p)
-    unit = f[-1]
-    f = _monic(f, p)
-    if len(f) == 1:
-        return FactorizationModP(p, unit, ())
-    rng = random.Random(0xD15EA5E ^ p ^ len(f))
-    factors = []
-    for g, mult in _squarefree_p(f, p):
-        for part, d in _distinct_degree_p(g, p):
-            for irr in _equal_degree_p(part, d, p, rng):
-                factors.append((irr, mult))
-    factors.sort()
-    return FactorizationModP(p, unit, tuple(factors))
+    f = _monic(_reduce(coeffs, p), p)
+    n = len(f) - 1
+    x = (0, 1)
+    h = x
+    for _ in range(n // 2):
+        h = _powmod_p(h, p, f, p)
+        if len(_gcd_p(f, _reduce(combine(h, 1, x, -1), p), p)) > 1:
+            return False
+    return n >= 1

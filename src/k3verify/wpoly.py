@@ -34,9 +34,9 @@ from functools import reduce
 from heapq import heappop, heappush
 from operator import lshift, mul, or_
 
-# Re-exported, not used here: benchmarks/tracing.py looks factor_mod_p up in
-# this module by name to time it.
-from .upoly import factor_mod_p  # noqa: F401
+# Not used here: benchmarks/tracing.py looks the mod-p step of the
+# irreducibility certificate up in this module, under its older name, to time it.
+from .upoly import irreducible_mod_p as factor_mod_p  # noqa: F401
 
 NEG_INFINITY = float("-inf")
 

@@ -26,7 +26,7 @@ from k3verify.families import (
     sample_points,
     random_certified_points,
 )
-from k3verify.upoly import factor_mod_p
+from k3verify.upoly import irreducible_mod_p
 from k3verify.wpoly import VariableTable, parse
 
 
@@ -199,12 +199,23 @@ def test_irreducibility_certificate_failures():
     assert (cert.reason, cert.trials) == ("budget exhausted", 4)
 
 
+def test_irreducibility_certificate_never_certifies_a_split_quintic():
+    # (x^2 + a)(x^3 + x + a + 1): every specialization factors over Z, and
+    # its smallest factor has degree 2 = 5 // 2, the last degree tested mod p
+    table = VariableTable(("a", "x"), (1, 1))
+    poly = parse("x^2 + a", table) * parse("x^3 + x + a + 1", table)
+    for seed in range(10):
+        cert = irreducibility_certificate(poly, "x", PitConfig(trials=8, seed=seed))
+        assert not cert.certified
+        assert (cert.reason, cert.trials) == ("budget exhausted", 8)
+
+
 def test_irreducibility_certificate_skips_primes_dividing_the_leading_coefficient(monkeypatch):
     table = VariableTable(("a", "x"), (1, 1))
     poly = parse("2*x^2 + x + a^2 + 1", table)
     primes = []
-    monkeypatch.setattr(families, "factor_mod_p",
-                        lambda coeffs, p: primes.append(p) or factor_mod_p(coeffs, p))
+    monkeypatch.setattr(families, "irreducible_mod_p",
+                        lambda coeffs, p: primes.append(p) or irreducible_mod_p(coeffs, p))
     for seed in range(6):
         cert = irreducibility_certificate(poly, "x", PitConfig(trials=4, seed=seed))
         assert cert.certified and cert.prime != 2

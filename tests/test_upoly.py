@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,6 +90,56 @@ def _of_x_to_the(h, q):
     return tuple(out)
 
 
+def _monic_polys(p, n):
+    """Every monic polynomial of degree n over F_p."""
+    return [tuple(low) + (1,) for low in itertools.product(range(p), repeat=n)]
+
+
+def _mobius(n):
+    out, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_irreducible_mod_p_counts_match_gauss(p, n):
+    # the number of monic irreducibles of degree n over F_p is
+    # (1/n) * sum over d | n of mu(d) p^(n/d)
+    gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    assert sum(upoly.irreducible_mod_p(f, p) for f in _monic_polys(p, n)) == gauss
+
+
+def _remainder_mod_p(a, b, p):
+    """a mod b over F_p for a monic b, by schoolbook long division."""
+    r = [c % p for c in a]
+    for shift in range(len(r) - len(b), -1, -1):
+        top = r[shift + len(b) - 1]
+        for i, c in enumerate(b):
+            r[shift + i] = (r[shift + i] - top * c) % p
+    return r
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_irreducible_mod_p_matches_trial_division(p):
+    # f of degree n is reducible exactly when a monic g of degree 1..n/2
+    # leaves remainder zero
+    for n in range(1, 5):
+        for f in _monic_polys(p, n):
+            reducible = any(
+                not any(_remainder_mod_p(f, g, p))
+                for d in range(1, n // 2 + 1)
+                for g in _monic_polys(p, d)
+            )
+            assert upoly.irreducible_mod_p(f, p) is not reducible, f
+
+
 @pytest.mark.parametrize(
     "p, g, k, h, q",
     [
@@ -96,26 +147,50 @@ def _of_x_to_the(h, q):
         (2, (1,), 0, (1, 1, 1), 2),
         (3, (1,), 0, (2, 1, 1), 3),
         (2, (1, 1, 0, 1), 2, (1, 1, 1), 2),
-        # the squarefree loop runs first, then the leftover of multiplicity
-        # divisible by p goes through the p-th root (twice for h(x^4))
         (3, (1, 0, 1), 2, (2, 1, 1), 3),
         (2, (1, 1, 0, 1), 3, (1, 1, 1), 2),
         (2, (1, 1, 0, 1), 1, (1, 1, 1), 4),
     ],
 )
-def test_factor_mod_p_characteristic_p_powers(p, g, k, h, q):
-    # g and h are monic irreducible mod p, so g^k h(x^q) = g^k h^q
+def test_irreducible_mod_p_rejects_characteristic_p_powers(p, g, k, h, q):
+    # g and h are monic irreducible mod p, so g^k h(x^q) = g^k h^q is not
     f = upoly.mul(upoly.power(g, k), _of_x_to_the(h, q))
-    expected = sorted([(g, k), (h, q)] if k else [(h, q)])
-    assert upoly.factor_mod_p(f, p) == upoly.FactorizationModP(p, 1, tuple(expected))
+    assert not upoly.irreducible_mod_p(f, p)
+    assert upoly.irreducible_mod_p(h, p)
+    assert upoly.irreducible_mod_p(g, p) is (len(g) > 1)
 
 
-def test_factor_mod_p_trace_split_over_f2():
-    # two irreducible cubics: distinct-degree splitting leaves their product
-    # whole, and p = 2 splits it by the trace map
+def test_irreducible_mod_p_rejects_equal_halves_over_f2():
+    # two irreducible cubics: no factor of degree 1 or 2, so only the last
+    # step, d = n/2 = 3, sees the product as reducible
     g, h = (1, 1, 0, 1), (1, 0, 1, 1)
-    result = upoly.factor_mod_p(upoly.mul(g, h), 2)
-    assert result == upoly.FactorizationModP(2, 1, ((h, 1), (g, 1)))
+    assert upoly.irreducible_mod_p(g, 2) and upoly.irreducible_mod_p(h, 2)
+    assert not upoly.irreducible_mod_p(upoly.mul(g, h), 2)
+
+
+def test_irreducible_mod_p_examples():
+    assert not upoly.irreducible_mod_p([1, 0, 1], 5)  # (x + 2)(x + 3)
+    assert upoly.irreducible_mod_p([1, 0, 1], 3)
+    assert not upoly.irreducible_mod_p(upoly.power((1, 0, 1), 2), 3)
+    assert not upoly.irreducible_mod_p([-1, 0, 1], 7)  # (x - 1)(x + 1)
+    for p in (2, 3, 7):
+        assert not upoly.irreducible_mod_p([1], p)
+        assert not upoly.irreducible_mod_p([-1, 0, 0], p)
+        assert upoly.irreducible_mod_p([5, 1], p)
+        assert upoly.irreducible_mod_p([0, -1, 0], p)
+
+
+def test_irreducible_mod_p_quintic():
+    # x^5 + x + 3 is irreducible mod 7, and so is any multiple by a unit
+    assert upoly.irreducible_mod_p([3, 1, 0, 0, 0, 1], 7)
+    assert upoly.irreducible_mod_p([9, 3, 0, 0, 0, 3], 7)
+
+
+def test_irreducible_mod_p_errors():
+    with pytest.raises(upoly.CompositeModulusError):
+        upoly.irreducible_mod_p([1, 1], 6)
+    with pytest.raises(upoly.LeadingCoefficientVanishesError):
+        upoly.irreducible_mod_p([1, 5], 5)
 
 
 # -- splitting off the power of x ---------------------------------------------

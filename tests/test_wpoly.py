@@ -3,11 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from k3verify.upoly import (
-    CompositeModulusError,
-    LeadingCoefficientVanishesError,
-    factor_mod_p,
-)
 from k3verify.wpoly import (
     _EXPONENT_LIMIT,
     _PACK_MIN,
@@ -456,7 +451,8 @@ def test_points_take_only_int_or_fraction_coordinates():
 
 
 def test_specializer_sums_terms_into_slots():
-    # slot 0: 3*x*y^2 + 1 and slot 1: -x^3, at (x, y) = (2, 1/3); y's row is Fraction
+    # slot 0: 3*x*y^2 + 1 and slot 1: -x^3, at (x, y) = (2, 1/3); y's row is the
+    # int 3^(2-e) and each sum one Fraction over 3^2
     at = specializer([(0, (1, 2), 3), (0, (0, 0), 1), (1, (3, 0), -1)], 2)
     assert at((2, Fraction(1, 3))) == [Fraction(5, 3), -8]
     assert [type(v) for v in at((2, Fraction(6, 3)))] == [int, int]
@@ -473,51 +469,6 @@ def test_specializer_puts_a_rational_point_over_one_denominator():
     assert at((x, 4, None)) == [3 * x ** 2 * 4 - 1, 5 * x + 128]
     assert all(type(v) is Fraction for v in at((x, 4, None)))
     assert at((3, 2, None)) == [53, 31] and all(type(v) is int for v in at((3, 2, None)))
-
-
-def test_factor_mod_p_examples():
-    f = factor_mod_p([1, 0, 1], 5)  # x^2 + 1 = (x + 2)(x + 3) mod 5
-    assert len(f.factors) == 2
-    assert sorted((5 - fac[0]) % 5 for fac, _ in f.factors) == [2, 3]
-    g = factor_mod_p([1, 0, 1], 3)
-    assert len(g.factors) == 1 and g.factors[0][1] == 1
-    assert len(g.factors[0][0]) - 1 == 2
-    h = factor_mod_p([-1, 0, 1], 7)  # x^2 - 1
-    assert len(h.factors) == 2
-
-
-def test_factor_mod_p_reconstructs_input():
-    rng = random.Random(23)
-    for p in (2, 3, 5, 7, 13):
-        for _ in range(10):
-            deg = rng.randint(1, 6)
-            coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-            result = factor_mod_p(coeffs, p)
-            prod = [result.unit % p]
-            for factor, mult in result.factors:
-                for _ in range(mult):
-                    new = [0] * (len(prod) + len(factor) - 1)
-                    for i, x in enumerate(prod):
-                        for j, y in enumerate(factor):
-                            new[i + j] = (new[i + j] + x * y) % p
-                    prod = new
-            expected = [c % p for c in coeffs]
-            assert prod == expected
-
-
-def test_factor_mod_p_quintic_sanity():
-    # x^5 + x + 3 is irreducible mod 7 (certifier core fixture)
-    result = factor_mod_p([3, 1, 0, 0, 0, 1], 7)
-    assert len(result.factors) == 1
-    factor, mult = result.factors[0]
-    assert mult == 1 and len(factor) - 1 == 5
-
-
-def test_factor_mod_p_errors():
-    with pytest.raises(CompositeModulusError):
-        factor_mod_p([1, 1], 6)
-    with pytest.raises(LeadingCoefficientVanishesError):
-        factor_mod_p([1, 5], 5)
 
 
 # -- kernel products -----------------------------------------------------------
