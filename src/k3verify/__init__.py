@@ -1,7 +1,7 @@
 """Exact-arithmetic verification toolkit for an elliptic K3 family.
 
 Modules:
-    exactalg    -- exact integer linear algebra kernels
+    exactalg    -- exact integer elimination kernels on int rows
     wpoly       -- sparse weighted multivariate polynomials over Z
     eliminate   -- resultants, discriminants, probabilistic identity testing
     lattice     -- even integral lattices and their invariants

@@ -334,7 +334,8 @@ def run_cd(args) -> CheckReport:
                  f"c' = {fac.c_prime}")
     report.check(
         "weighted degrees (gamma^3, r0^3, d0) = (30, 60, 60)",
-        fac.r0.weighted_degree() * 3 == 60 and fac.d0.weighted_degree() == 60,
+        fac.r0.is_weighted_homogeneous() and fac.d0.is_weighted_homogeneous()
+        and fac.r0.weighted_degree() * 3 == 60 and fac.d0.weighted_degree() == 60,
         f"r0 weight {fac.r0.weighted_degree()}, d0 weight {fac.d0.weighted_degree()}",
     )
     report.constants["c_prime"] = fac.c_prime

@@ -1,11 +1,11 @@
-"""Exact integer linear algebra kernels.
+"""Exact integer linear algebra on ``int`` rows: the one elimination core.
 
-``ExactMatrix`` holds ``int`` entries only; no floating point enters any code
-path.  The Smith normal form, the Bareiss determinant and the inertia run in
-integer arithmetic on those entries; the Smith form returns ``(d, v)``, the
-diagonal form and the column transform, as tuples of ``int`` rows.
-``ExactMatrix`` is an immutable value.  ``ExactMatrix.inverse`` is the one
-rational kernel; it is kept for the benchmark tracer, which patches it by name.
+The Smith normal form (the integer kernel is read from its column transform),
+the inertia, the Bareiss determinant and the rank modulo a prime take a matrix
+as a sequence of ``int`` rows and copy only what they mutate; no floating point
+enters any code path.  ``ExactMatrix`` is no kernel input but the view of a
+lattice's Gram matrix that the benchmark reads: its gate calls ``to_int_rows``
+and its tracer patches ``inverse``, the one rational kernel.
 """
 from __future__ import annotations
 
@@ -14,67 +14,21 @@ from operator import floordiv
 
 
 class ExactMatrix:
-    """Immutable dense matrix with ``int`` entries, equal and hashed by value."""
+    """The Gram matrix of a lattice as the benchmark reads it: ``entries`` is
+    the lattice's tuple of ``int`` rows, not a copy."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple):
         self.entries = entries
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        data = tuple(map(tuple, rows))
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
-        if any(type(x) is not int for row in data for x in row):
-            raise ValueError("matrix entries must be int")
-        return ExactMatrix(data)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
-
     def to_int_rows(self):
         return [list(row) for row in self.entries]
 
-    def scale(self, c: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows([[c * x for x in row] for row in self.entries])
-
     def inverse(self):
-        """Exact inverse as a tuple of ``Fraction`` rows, by Gauss-Jordan;
-        raises on singular input."""
-        # kept until the benchmark drops exactalg.inverse_s
-        if not self.is_square():
-            raise ValueError("matrix is not square")
-        n = self.rows
+        """Exact inverse of the square matrix as a tuple of ``Fraction`` rows,
+        by Gauss-Jordan; raises on singular input."""
+        n = len(self.entries)
         a = [[Fraction(x) for x in row] for row in self.entries]
         inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -94,8 +48,8 @@ class ExactMatrix:
         return tuple(map(tuple, inv))
 
 
-def smith_normal_form(m: ExactMatrix):
-    """Smith normal form ``d = u m v`` of an integer matrix.
+def smith_normal_form(rows):
+    """Smith normal form ``d = u m v`` of an integer matrix ``m`` given as rows.
 
     Returns ``(d, v)`` as tuples of ``int`` rows: ``d`` is diagonal and
     nonnegative with the divisibility chain d1 | d2 | ..., and ``v`` is the
@@ -103,8 +57,8 @@ def smith_normal_form(m: ExactMatrix):
     formed, since no caller reads it.  The pivot with smallest nonzero absolute
     value is chosen at every stage to limit entry growth.
     """
-    a = m.to_int_rows()
-    nr, nc = m.rows, m.cols
+    a = [list(row) for row in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def swap_cols(i, j):
@@ -172,19 +126,20 @@ def smith_normal_form(m: ExactMatrix):
     return tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
-def integer_kernel(m: ExactMatrix):
-    """Basis of the saturated integer kernel of an integer matrix.
+def integer_kernel(rows):
+    """Basis of the saturated integer kernel of an integer matrix given as
+    rows, at least one, since a row carries the width.
 
     The returned vectors come from the unimodular column transform of the
     Smith normal form, so they automatically span a primitive sublattice.
     """
-    d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i][i] != 0)
-    return [tuple(row[j] for row in v) for j in range(rank, m.cols)]
+    d, v = smith_normal_form(rows)
+    rank = sum(1 for i in range(min(len(d), len(v))) if d[i][i] != 0)
+    return [tuple(row[j] for row in v) for j in range(rank, len(v))]
 
 
-def inertia(m: ExactMatrix):
-    """Signature counts ``(n_pos, n_neg, n_zero)`` of a symmetric matrix.
+def inertia(rows):
+    """Signature counts ``(n_pos, n_neg, n_zero)`` of a symmetric matrix given as rows.
 
     Symmetric Gaussian reduction in ``int``, made fraction-free by Bareiss'
     division by the previous pivot: the active block is always (last pivot)
@@ -193,11 +148,9 @@ def inertia(m: ExactMatrix):
     vanishes, a symmetric shear manufactures a nonzero pivot (the
     hyperbolic-plane case, e.g. Gram(U)).
     """
-    a = m.to_int_rows()
+    a = [list(row) for row in rows]
     n = len(a)
-    if any(len(row) != n for row in a) or any(
-        a[i][j] != a[j][i] for i in range(n) for j in range(i)
-    ):
+    if list(map(list, zip(*a))) != a:
         raise ValueError("matrix is not symmetric")
     pos = neg = 0
     prev = 1
@@ -235,10 +188,13 @@ def bareiss_det(rows, exact_div=floordiv):
     sequence of rows, by Bareiss' fraction-free elimination (Math. Comp. 22,
     1968).  The entries are ``int`` by default; over another domain, such as
     Z[t], pass its exact division (``WeightedPolynomial.exact_div``).  Each
-    division is by the previous pivot.  A singular matrix gives the ``int`` 0.
+    division is by the previous pivot.  A singular matrix gives the ``int`` 0,
+    and a matrix that is not square raises ``ValueError``.
     """
     a = [list(row) for row in rows]
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     sign = 1
@@ -259,8 +215,27 @@ def bareiss_det(rows, exact_div=floordiv):
     return sign * a[n - 1][n - 1]
 
 
-def det_fraction_free(m: ExactMatrix) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    if not m.is_square():
-        raise ValueError("matrix is not square")
-    return bareiss_det(m.entries)
+# the benchmark tracer times every Bareiss determinant under this name
+det_fraction_free = bareiss_det
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over the field with p elements, for a prime p, of an integer
+    matrix given as its rows."""
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        inv = pow(pr[col], -1, p)
+        for i in range(rank + 1, len(a)):
+            if a[i][col]:
+                f = a[i][col] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+        rank += 1
+    return rank

@@ -285,9 +285,6 @@ def cd_disc_factorization() -> CdDiscFactorization:
     quotient = res.exact_div(gamma ** 3).exact_div(r0 ** 3)
     c_prime = _content_and_sign(quotient)
     d0 = quotient.exact_div(c_prime)
-    for poly, weight, label in ((r0, 20, "r0"), (d0, 60, "d0")):
-        if not (poly.is_weighted_homogeneous() and poly.weighted_degree() == weight):
-            raise ConsistencyFailure(f"{label} is not homogeneous of weight {weight}")
     return CdDiscFactorization(c_prime=c_prime, r0=r0, d0=d0, disc=res)
 
 
@@ -462,20 +459,17 @@ def sample_points():
 def random_certified_points(count: int, seed: int = 0, t18_zero: bool = False):
     """Deterministic parameter points with r * d90 != 0 (and t18 != 0 unless
     t18_zero, in which case t18 is pinned to 0)."""
+    cfg = PitConfig(seed=seed, sample_bound=50)
     points = []
     trial = 0
     while len(points) < count:
-        raw = sample_point(PitConfig(trials=1, seed=seed + trial, sample_bound=50), 0, 5)
-        values = list(raw)
+        values = list(sample_point(cfg, trial, 5))
         if t18_zero:
             values[4] = 0
         trial += 1
         if not any(values):
             continue
-        try:
-            point = ParameterPoint(*values)
-        except ValueError:
-            continue
+        point = ParameterPoint(*values)
         cert = genericity_certificate(point)
         if cert["r"] == 0 or cert["d90"] == 0:
             continue

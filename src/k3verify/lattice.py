@@ -19,9 +19,9 @@ from typing import NamedTuple
 from .exactalg import (
     ExactMatrix,
     bareiss_det,
-    det_fraction_free,
     inertia,
     integer_kernel,
+    rank_mod_p,
     smith_normal_form,
 )
 
@@ -60,30 +60,34 @@ def _check_vector(v, rank):
 
 
 class GramLattice:
-    """Even integral lattice given by a symmetric ``int`` Gram matrix.
-
-    ``int_rows`` is ``gram.entries``, the same tuple of ``int`` tuples, not a
-    copy.  Vectors are sequences of ``rank`` ``int`` coordinates; ``inner``
-    and ``norm`` raise ``ValueError`` on any other entry or length.  ``norm``
-    evaluates the cached quadratic form :attr:`_form` in one pass.
+    """Even integral lattice given by the rows of its Gram matrix, checked
+    once: ``ValueError`` unless the entries are ``int`` (not ``bool``) and the
+    matrix is square, symmetric and even on the diagonal.  ``int_rows`` keeps
+    the rows as a tuple of ``int`` tuples, and ``gram`` is the benchmark's
+    :class:`ExactMatrix` view of that same tuple.  Vectors are sequences of
+    ``rank`` ``int`` coordinates; ``inner`` and ``norm`` raise ``ValueError``
+    on any other entry or length.  ``norm`` evaluates the cached quadratic
+    form :attr:`_form` in one pass.
     """
 
-    def __init__(self, gram: ExactMatrix, label: str = ""):
-        if not gram.is_symmetric():
+    def __init__(self, rows, label: str = ""):
+        int_rows = tuple(map(tuple, rows))
+        n = len(int_rows)
+        if any(len(row) != len(int_rows[0]) for row in int_rows):
+            raise ValueError("ragged rows")
+        if not {type(x) for row in int_rows for x in row} <= {int}:
+            raise ValueError("matrix entries must be int")
+        if tuple(zip(*int_rows)) != int_rows:
             raise ValueError("Gram matrix must be symmetric")
-        rows = gram.entries
-        if any(rows[i][i] % 2 for i in range(len(rows))):
+        if any(int_rows[i][i] % 2 for i in range(n)):
             raise ValueError("lattice is not even: odd diagonal entry")
-        self.gram = gram
+        self.int_rows = int_rows
+        self.rank = n
+        self.gram = ExactMatrix(int_rows)
         self.label = label
-        self.int_rows = rows
-
-    @property
-    def rank(self) -> int:
-        return self.gram.rows
 
     def det(self) -> int:
-        return det_fraction_free(self.gram)
+        return bareiss_det(self.int_rows)
 
     def inner(self, u, v) -> int:
         """Bilinear form of two ``int`` vectors given in basis coordinates."""
@@ -124,7 +128,7 @@ class GramLattice:
         column i of ``v`` divided by ``d_i`` is ``G^{-1} u^{-1} e_i``; the
         columns with ``d_i > 1`` generate the discriminant group.
         """
-        d, v = smith_normal_form(self.gram)
+        d, v = smith_normal_form(self.int_rows)
         n = self.rank
         if any(d[i][i] == 0 for i in range(n)):
             raise DegenerateLatticeError(f"{self.label or 'lattice'} is degenerate")
@@ -176,7 +180,7 @@ def catalog(name: str) -> GramLattice:
             raise UnknownLatticeError(f"diag entries must be even: {name}")
         rows = [[v if i == j else 0 for j in range(len(values))]
                 for i, v in enumerate(values)]
-        return GramLattice(ExactMatrix.from_rows(rows), label=name)
+        return GramLattice(rows, label=name)
     m = _NAME_RE.match(text)
     if not m:
         raise UnknownLatticeError(f"unknown lattice name: {name}")
@@ -205,7 +209,7 @@ def catalog(name: str) -> GramLattice:
         if scale % 2:
             raise UnknownLatticeError(f"I_k needs an even scale: {name}")
         rows = [[int(i == j) for j in range(k)] for i in range(k)]
-    return GramLattice(ExactMatrix.from_rows(rows).scale(scale), label=text)
+    return GramLattice([[scale * x for x in row] for row in rows], label=text)
 
 
 def direct_sum(lattices, label: str = "") -> GramLattice:
@@ -220,18 +224,19 @@ def direct_sum(lattices, label: str = "") -> GramLattice:
         offset += lat.rank
     if not label:
         label = " + ".join(l.label or "?" for l in lats)
-    return GramLattice(ExactMatrix.from_rows(rows), label=label)
+    return GramLattice(rows, label=label)
 
 
 def rescale(lat: GramLattice, n: int) -> GramLattice:
     if n == 0:
         raise ValueError("rescale by zero")
-    return GramLattice(lat.gram.scale(n), label=f"{lat.label}({n})")
+    return GramLattice([[n * x for x in row] for row in lat.int_rows],
+                       label=f"{lat.label}({n})")
 
 
 def signature(lat: GramLattice):
     """Signature (s_plus, s_minus); degenerate lattices are rejected."""
-    pos, neg, zero = inertia(lat.gram)
+    pos, neg, zero = inertia(lat.int_rows)
     if zero:
         raise DegenerateLatticeError(f"{lat.label or 'lattice'} is degenerate")
     return pos, neg
@@ -357,32 +362,6 @@ def finite_forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) ->
     return bool(_maps_between(q1, q2))
 
 
-def rank_mod_p(lat: GramLattice, p: int) -> int:
-    """Rank of the Gram matrix over the field with p elements."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    n = lat.rank
-    a = [[x % p for x in row] for row in lat.int_rows]
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, n) if a[i][col] % p), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[row])]
-        row += 1
-        rank += 1
-        if row == n:
-            break
-    return rank
-
-
 class KneserReport(NamedTuple):
     """Verdicts for the four Kneser conditions.
 
@@ -431,7 +410,7 @@ def _minus_two_search(lat: GramLattice, bound: int):
     """
     n = lat.rank
     for i in range(n):
-        if lat.gram[i, i] == -2:
+        if lat.int_rows[i][i] == -2:
             return tuple(1 if j == i else 0 for j in range(n))
     if _box_points(n, bound) > _BOX_POINT_BUDGET:
         return None
@@ -454,8 +433,8 @@ def kneser_check(lat: GramLattice, search_bound: int = 2) -> KneserReport:
     """
     s_pos, s_neg = signature(lat)
     sig_ok = "pass" if min(s_pos, s_neg) >= 2 else "fail"
-    r2 = rank_mod_p(lat, 2)
-    r3 = rank_mod_p(lat, 3)
+    r2 = rank_mod_p(lat.int_rows, 2)
+    r3 = rank_mod_p(lat.int_rows, 3)
     details = {
         "signature": (s_pos, s_neg),
         "rank_mod_2": r2,
@@ -524,15 +503,14 @@ def _gram_of(lat: GramLattice, vectors):
 
 
 def _smith_invariants(sub_basis, n):
-    """Integer rows of a sublattice basis and the Smith invariants of their
-    matrix; raises ``ValueError`` on a non-``int`` entry or a wrong length and
+    """A sublattice basis as a list and the Smith invariants of its matrix;
+    raises ``ValueError`` unless each vector is ``n`` ``int`` coordinates and
     :class:`DependentBasisError` if the rank falls short."""
-    m = ExactMatrix.from_rows(sub_basis)
-    basis = m.entries
-    if any(len(v) != n for v in basis):
-        raise ValueError("dimension mismatch")
-    d, _v = smith_normal_form(m)
-    invariants = [d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i] != 0]
+    basis = list(sub_basis)
+    for v in basis:
+        _check_vector(v, n)
+    d, _v = smith_normal_form(basis)
+    invariants = [d[i][i] for i in range(min(len(basis), n)) if d[i][i] != 0]
     if len(invariants) != len(basis):
         raise DependentBasisError("sublattice basis is linearly dependent")
     return basis, invariants
@@ -540,12 +518,13 @@ def _smith_invariants(sub_basis, n):
 
 def orthogonal_complement(ambient: GramLattice, sub_basis) -> GramLattice:
     """Gram matrix of the primitive orthogonal complement of a sublattice."""
-    basis, _invariants = _smith_invariants(sub_basis, ambient.rank)
-    # row v of the pairing matrix is (v, e_j) = (G v)_j, G being symmetric
-    pairing = ExactMatrix.from_rows([_mat_vec(ambient.int_rows, v) for v in basis])
+    n = ambient.rank
+    basis, _invariants = _smith_invariants(sub_basis, n)
+    # row v of the pairing matrix is (v, e_j) = (G v)_j, G being symmetric; an
+    # empty basis pairs as one zero row, which carries the width n
+    pairing = [_mat_vec(ambient.int_rows, v) for v in basis] or [[0] * n]
     kernel = integer_kernel(pairing)
-    gram = ExactMatrix.from_rows(_gram_of(ambient, kernel))
-    return GramLattice(gram, label=f"({ambient.label})^perp")
+    return GramLattice(_gram_of(ambient, kernel), label=f"({ambient.label})^perp")
 
 
 def _unit(n, j):
@@ -593,7 +572,7 @@ def m_lattice() -> GramLattice:
     """Gram matrix of U + E8(-1) + E6(-1) on the embedded basis."""
     big = k3_lattice()
     basis = m_sublattice_basis()
-    return GramLattice(ExactMatrix.from_rows(_gram_of(big, basis)), label="M")
+    return GramLattice(_gram_of(big, basis), label="M")
 
 
 def a_lattice() -> GramLattice:
@@ -668,7 +647,7 @@ def lattice_from_json(text: str) -> GramLattice:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ValueError('"label" must be a string')
-    lat = GramLattice(ExactMatrix.from_rows(rows), label=label)
-    if rank_mod_p(lat, _RANK_PRIME) < lat.rank and lat.det() == 0:
+    lat = GramLattice(rows, label=label)
+    if rank_mod_p(lat.int_rows, _RANK_PRIME) < lat.rank and lat.det() == 0:
         raise ValueError('"gram" is degenerate: its determinant is 0')
     return lat

@@ -1,20 +1,15 @@
 """Integer matrix arithmetic for the tests, written with plain loops so that it
-stays independent of the code under test.  A matrix is an ``ExactMatrix`` or a
-sequence of rows; every matrix result is a tuple of row tuples."""
+stays independent of the code under test.  A matrix is a sequence of rows;
+every matrix result is a tuple of row tuples."""
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 
-def rows_of(m):
-    return m.entries if hasattr(m, "entries") else m
-
-
 def matmul(*factors):
     """The product of the factors, left to right."""
-    result = rows_of(factors[0])
-    for factor in factors[1:]:
-        b = rows_of(factor)
+    result = factors[0]
+    for b in factors[1:]:
         result = tuple(
             tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
             for row in result
@@ -23,8 +18,7 @@ def matmul(*factors):
 
 
 def transpose(m):
-    a = rows_of(m)
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
 def identity(n):
@@ -38,12 +32,12 @@ def diagonal(values):
 
 def apply(m, vector):
     """The matrix times a column vector, as a tuple."""
-    return tuple(sum(x * y for x, y in zip(row, vector)) for row in rows_of(m))
+    return tuple(sum(x * y for x, y in zip(row, vector)) for row in m)
 
 
 def det(m):
     """Determinant of a square matrix, by Gaussian elimination over ``Fraction``."""
-    a = [[Fraction(x) for x in row] for row in rows_of(m)]
+    a = [[Fraction(x) for x in row] for row in m]
     n = len(a)
     value = Fraction(1)
     for k in range(n):
@@ -63,11 +57,10 @@ def det(m):
 def minor_gcd(m, k):
     """The gcd of the k x k minors; it stops at the first minor that brings it
     to 1, so a matrix whose early minors are coprime is cheap at any size."""
-    a = rows_of(m)
     g = 0
-    for rows in combinations(range(len(a)), k):
-        for cols in combinations(range(len(a[0])), k):
-            g = gcd(g, det([[a[i][j] for j in cols] for i in rows]))
+    for rows in combinations(range(len(m)), k):
+        for cols in combinations(range(len(m[0])), k):
+            g = gcd(g, det([[m[i][j] for j in cols] for i in rows]))
             if g == 1:
                 return 1
     return g
@@ -76,9 +69,8 @@ def minor_gcd(m, k):
 def smith_diagonal(d):
     """The diagonal of a Smith form ``d`` after checking that ``d`` is
     diagonal, nonnegative and a divisibility chain d1 | d2 | ..."""
-    a = rows_of(d)
-    assert all(x == 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
-    diag = [a[i][i] for i in range(min(len(a), len(a[0])))]
+    assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     assert all(x >= 0 for x in diag)
     assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
     return diag

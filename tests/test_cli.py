@@ -209,6 +209,20 @@ def test_cd_wrong_factorization_fails(monkeypatch, capsys):
     assert statuses["c' = 544195584"] == "pass"
 
 
+def test_cd_inhomogeneous_d0_fails(monkeypatch, capsys):
+    # d0 keeps its top weight 60 but gains a term of weight 20: only the
+    # homogeneity part of the weight check can catch it
+    true = families.cd_disc_factorization()
+    gamma = WeightedPolynomial.variable(families.CD_TABLE, "gamma")
+    wrong = true._replace(d0=true.d0 + gamma ** 2)
+    assert wrong.d0.weighted_degree() == 60
+    monkeypatch.setattr(families, "cd_disc_factorization", lambda: wrong)
+    assert main(["cd", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["weighted degrees (gamma^3, r0^3, d0) = (30, 60, 60)"] == "fail"
+    assert statuses["c' = 544195584"] == "pass"
+
+
 def test_cd_wrong_constant_fails(monkeypatch, capsys):
     true = families.cd_disc_factorization()
     wrong = true._replace(c_prime=true.c_prime // 4, d0=4 * true.d0)
@@ -459,15 +473,15 @@ def test_user_lattice_never_reaches_the_smith_form(tmp_path, monkeypatch, capsys
     smith = exactalg.smith_normal_form
     built_in, calls, unseen = set(), [], []
 
-    def counting(m):
-        key = tuple(map(tuple, m.to_int_rows()))
+    def counting(rows):
+        key = tuple(map(tuple, rows))
         calls.append(key)
         if recording_built_ins:
             built_in.add(key)
         elif key not in built_in:
             unseen.append(key)
             raise AssertionError("Smith form of a user lattice")
-        return smith(m)
+        return smith(rows)
 
     monkeypatch.setattr(exactalg, "smith_normal_form", counting)
     monkeypatch.setattr(lattice, "smith_normal_form", counting)

@@ -7,13 +7,12 @@ import pytest
 
 from k3verify.exactalg import (
     bareiss_det,
-    ExactMatrix,
     det_fraction_free,
     inertia,
     integer_kernel,
     smith_normal_form,
 )
-from k3verify.lattice import a_lattice, catalog, k3_lattice, m_lattice
+from k3verify.lattice import GramLattice, a_lattice, catalog, k3_lattice, m_lattice
 from matrix_helpers import (
     apply,
     diagonal,
@@ -35,45 +34,29 @@ def _check_snf(m):
     return smith_diagonal(d)
 
 
-def test_matrices_are_equal_and_hashed_by_value():
-    m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    same = ExactMatrix.from_rows(([1, 2], (3, 4)))
-    assert m is not same and m == same and hash(m) == hash(same)
-    assert {m: "m"}[same] == "m"
-    assert m != ExactMatrix.from_rows(transpose(m))
-    assert m != ExactMatrix.from_rows(identity(2))
-    assert m[1, 0] == 3
-
-
-@pytest.mark.parametrize("entry", [Fraction(2, 2), 1.0])
-def test_from_rows_takes_int_entries_only(entry):
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[entry, 0], [0, 1]])
-
-
 def test_kernels_return_int_entries():
     lattices = [catalog(name) for name in ("U", "U(2)", "A2(-1)", "E8(-1)", "I3(2)")]
     for lat in lattices + [a_lattice(), k3_lattice()]:
-        d, v = smith_normal_form(lat.gram)
+        d, v = smith_normal_form(lat.int_rows)
         assert {type(x) for m in (d, v) for row in m for x in row} == {int}
-        assert all(type(n) is int for n in inertia(lat.gram))
+        assert all(type(n) is int for n in inertia(lat.int_rows))
         assert type(lat.det()) is int
         assert all(type(n) is int for n, _w in lat.dual_generators)
-    pairing = ExactMatrix.from_rows([[1, 2, 3], [0, 2, 4]])
+    pairing = [[1, 2, 3], [0, 2, 4]]
     assert {type(x) for v in integer_kernel(pairing) for x in v} == {int}
 
 
 def test_snf_identity():
-    assert _check_snf(ExactMatrix.from_rows(identity(2))) == [1, 1]
+    assert _check_snf(identity(2)) == [1, 1]
 
 
 def test_snf_a2_negative():
-    diag = _check_snf(ExactMatrix.from_rows([[-2, 1], [1, -2]]))
+    diag = _check_snf([[-2, 1], [1, -2]])
     assert diag == [1, 3]
 
 
 def test_snf_lattice_a():
-    diag = _check_snf(a_lattice().gram)
+    diag = _check_snf(a_lattice().int_rows)
     assert diag == [1, 1, 1, 1, 1, 3]
 
 
@@ -82,10 +65,7 @@ def test_snf_random_suite():
     for _ in range(100):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
-        _check_snf(m)
+        _check_snf([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_snf_low_rank_products():
@@ -97,7 +77,7 @@ def test_snf_low_rank_products():
         right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
         product = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
                    for i in range(rows)]
-        diag = _check_snf(ExactMatrix.from_rows(product))
+        diag = _check_snf(product)
         assert sum(1 for x in diag if x) <= k
 
 
@@ -105,17 +85,17 @@ def test_snf_low_rank_products():
 def test_snf_catalog_lattices(name):
     named = {"A": a_lattice, "M": m_lattice, "L": k3_lattice}
     lat = named[name]() if name in named else catalog(name)
-    diag = _check_snf(lat.gram)
+    diag = _check_snf(lat.int_rows)
     assert math.prod(diag) == abs(lat.det())
 
 
 def test_kernel_zero_matrix():
-    basis = integer_kernel(ExactMatrix.from_rows([[0, 0], [0, 0]]))
+    basis = integer_kernel([[0, 0], [0, 0]])
     assert sorted(basis) == [(0, 1), (1, 0)]
 
 
 def test_kernel_row():
-    assert integer_kernel(ExactMatrix.from_rows([[1, 1]])) in (
+    assert integer_kernel([[1, 1]]) in (
         [(1, -1)],
         [(-1, 1)],
     )
@@ -124,34 +104,30 @@ def test_kernel_row():
 def test_kernel_vectors_annihilate_and_saturate():
     rng = random.Random(11)
     for _ in range(50):
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)]
-        )
+        m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)]
         basis = integer_kernel(m)
         for v in basis:
             assert all(x == 0 for x in apply(m, v))
         if basis:
-            coord = ExactMatrix.from_rows(basis)
-            d, _v = smith_normal_form(coord)
+            d, _v = smith_normal_form(basis)
             assert all(d[i][i] == 1 for i in range(len(basis)))
 
 
 def test_kernel_e6_pairing_in_e8():
     e8 = catalog("E8")
     sub = [tuple(1 if i == j else 0 for i in range(8)) for j in (2, 3, 4, 5, 6, 7)]
-    pairing = ExactMatrix.from_rows(
-        [[int(e8.inner(s, tuple(1 if i == c else 0 for i in range(8)))) for c in range(8)] for s in sub]
-    )
+    pairing = [[e8.inner(s, tuple(1 if i == c else 0 for i in range(8))) for c in range(8)]
+               for s in sub]
     assert len(integer_kernel(pairing)) == 2
 
 
 def test_inertia_hyperbolic_plane():
-    assert inertia(ExactMatrix.from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
 
 
 def test_inertia_named_lattices():
-    assert inertia(a_lattice().gram) == (2, 4, 0)
-    assert inertia(k3_lattice().gram) == (3, 19, 0)
+    assert inertia(a_lattice().int_rows) == (2, 4, 0)
+    assert inertia(k3_lattice().int_rows) == (3, 19, 0)
 
 
 def test_inertia_congruence_invariance():
@@ -162,7 +138,6 @@ def test_inertia_congruence_invariance():
         for i in range(n):
             for j in range(i, n):
                 sym[i][j] = sym[j][i] = rng.randint(-4, 4)
-        m = ExactMatrix.from_rows(sym)
         # random unimodular p from elementary operations
         p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for _ in range(6):
@@ -170,8 +145,7 @@ def test_inertia_congruence_invariance():
             c = rng.randint(-2, 2)
             for k in range(n):
                 p[i][k] += c * p[j][k]
-        pm = ExactMatrix.from_rows(p)
-        assert inertia(ExactMatrix.from_rows(matmul(transpose(pm), m, pm))) == inertia(m)
+        assert inertia(matmul(transpose(p), sym, p)) == inertia(sym)
 
 
 
@@ -184,19 +158,17 @@ def test_inertia_of_congruent_diagonal():
         n = rng.randint(1, 6)
         d = [rng.choice([-3, -2, -1, 0, 1, 2, 5]) for _ in range(n)]
         p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        while det_fraction_free(ExactMatrix.from_rows(p)) == 0:
+        while bareiss_det(p) == 0:
             p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        pm = ExactMatrix.from_rows(p)
-        m = ExactMatrix.from_rows(matmul(transpose(pm), diagonal(d), pm))
+        m = matmul(transpose(p), diagonal(d), p)
         expected = (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
         assert inertia(m) == expected
-        assert inertia(m.scale(rng.randint(1, 9) * rng.randint(2, 9))) == expected
+        scale = rng.randint(1, 9) * rng.randint(2, 9)
+        assert inertia([[scale * x for x in row] for row in m]) == expected
 
 
 def _det_minors(m):
-    n = m.rows
-    if n == 1:
-        return m[0, 0]
+    n = len(m)
     total = Fraction(0)
     for perm in permutations(range(n)):
         sign = 1
@@ -207,24 +179,24 @@ def _det_minors(m):
                     sign = -sign
         prod = Fraction(1)
         for i in range(n):
-            prod *= m[i, perm[i]]
+            prod *= m[i][perm[i]]
         total += sign * prod
     return total
 
 
 def test_det_examples():
-    assert det_fraction_free(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det_fraction_free(catalog("E8(-1)").gram) == 1
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det(catalog("E8(-1)").int_rows) == 1
+    # the benchmark tracer times the one Bareiss kernel under its old name
+    assert det_fraction_free is bareiss_det
 
 
 def test_det_matches_permanent_expansion():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 5)
-        m = ExactMatrix.from_rows(
-            [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        )
-        assert det_fraction_free(m) == _det_minors(m)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        assert bareiss_det(m) == _det_minors(m)
 
 
 def test_bareiss_det_on_int_rows():
@@ -232,7 +204,7 @@ def test_bareiss_det_on_int_rows():
     for _ in range(40):
         n = rng.randint(0, 5)
         rows = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        assert bareiss_det(rows) == det_fraction_free(ExactMatrix.from_rows(rows))
+        assert bareiss_det(rows) == _det_minors(rows)
         assert bareiss_det(rows) == bareiss_det([list(r) for r in rows])
     rows = ((0, 1), (1, 0))
     assert bareiss_det(rows) == -1
@@ -246,13 +218,11 @@ def test_bareiss_det_on_int_rows():
 ], ids=["int", "non-square", "one-row"])
 def test_inertia_rejects_non_symmetric(rows):
     with pytest.raises(ValueError, match="not symmetric"):
-        inertia(ExactMatrix.from_rows(rows))
+        inertia(rows)
 
 
 def test_matrix_errors():
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        det_fraction_free(ExactMatrix.from_rows([[1, 2]]))
+    with pytest.raises(ValueError, match="not square"):
+        bareiss_det([[1, 2]])
     with pytest.raises(ZeroDivisionError):
-        ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+        GramLattice([[2, 2], [2, 2]]).gram.inverse()

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from k3verify import lattice
-from k3verify.exactalg import ExactMatrix
+from k3verify.exactalg import rank_mod_p
 from k3verify.lattice import (
     DegenerateLatticeError,
     DependentBasisError,
@@ -28,7 +28,6 @@ from k3verify.lattice import (
     m_lattice,
     m_sublattice_basis,
     orthogonal_complement,
-    rank_mod_p,
     reflection,
     rescale,
     signature,
@@ -37,7 +36,7 @@ from matrix_helpers import apply, identity, matmul, transpose
 
 
 def test_catalog_a2_negative():
-    assert catalog("A2(-1)").gram.to_int_rows() == [[-2, 1], [1, -2]]
+    assert catalog("A2(-1)").int_rows == ((-2, 1), (1, -2))
 
 
 def test_catalog_dets():
@@ -54,12 +53,12 @@ def test_catalog_dets():
 def test_catalog_everything_even():
     for name in ("U", "U(2)", "A1(-1)", "A2(-1)", "E6(-1)", "E7", "E8(-1)", "I2(-2)"):
         lat = catalog(name)
-        assert all(lat.gram[i, i] % 2 == 0 for i in range(lat.rank))
+        assert all(lat.int_rows[i][i] % 2 == 0 for i in range(lat.rank))
 
 
 def test_catalog_rescale_u2():
-    assert rescale(catalog("U"), 2).gram.to_int_rows() == [[0, 2], [2, 0]]
-    assert catalog("U(2)").gram.to_int_rows() == [[0, 2], [2, 0]]
+    assert rescale(catalog("U"), 2).int_rows == ((0, 2), (2, 0))
+    assert catalog("U(2)").int_rows == ((0, 2), (2, 0))
 
 
 def test_catalog_unknown():
@@ -84,7 +83,7 @@ def test_signatures():
 
 def test_signature_degenerate():
     with pytest.raises(DegenerateLatticeError):
-        signature(GramLattice(ExactMatrix.from_rows([[0, 0], [0, 2]])))
+        signature(GramLattice([[0, 0], [0, 2]]))
 
 
 def test_discriminant_groups():
@@ -121,12 +120,15 @@ def test_finite_form_automorphisms():
 
 
 def test_rank_mod_p():
-    a = a_lattice()
+    a = a_lattice().int_rows
     assert rank_mod_p(a, 2) == 6
     assert rank_mod_p(a, 3) == 5
-    assert rank_mod_p(a_s_lattice(), 2) == 4
+    assert rank_mod_p(a_s_lattice().int_rows, 2) == 4
     for p in (2, 3, 5):
-        assert rank_mod_p(catalog("U"), p) == 2
+        assert rank_mod_p(catalog("U").int_rows, p) == 2
+    # rows need not be square: a 3 x 2 matrix of rank 2 over Q, rank 1 mod 3
+    assert rank_mod_p([[1, 2], [2, 1], [0, 3]], 2) == 2
+    assert rank_mod_p([[1, 2], [2, 1], [0, 3]], 3) == 1
 
 
 def test_kneser_verdicts():
@@ -156,8 +158,7 @@ def test_kneser_skips_search_when_signature_fails(monkeypatch):
         raise AssertionError("the search cannot change a failed verdict")
 
     monkeypatch.setattr(lattice, "_minus_two_search", search)
-    i7 = GramLattice(ExactMatrix.from_rows([[2 * (i == j) for j in range(7)]
-                                            for i in range(7)]), label="I7(2)")
+    i7 = GramLattice([[2 * (i == j) for j in range(7)] for i in range(7)], label="I7(2)")
     report = kneser_check(i7, search_bound=3)
     assert report.overall == "fail"
     assert report.signature_ok == "fail"
@@ -189,7 +190,7 @@ def test_reflection_random_involutions():
     rng = random.Random(19)
     for delta in rng.sample(deltas, 50):
         sigma = reflection(a, delta)
-        assert matmul(transpose(sigma.matrix), a.gram, sigma.matrix) == a.gram.entries
+        assert matmul(transpose(sigma.matrix), a.int_rows, sigma.matrix) == a.int_rows
         assert matmul(sigma.matrix, sigma.matrix) == identity(6)
         assert sigma.det == -1
 
@@ -221,6 +222,15 @@ def test_orthogonal_complement_full_lattice():
     assert comp.rank == 0
 
 
+@pytest.mark.parametrize("ambient", [lambda: catalog("U"), k3_lattice], ids=["U", "L"])
+def test_orthogonal_complement_of_nothing_is_everything(ambient):
+    lat = ambient()
+    comp = orthogonal_complement(lat, [])
+    assert comp.rank == lat.rank
+    assert comp.det() == lat.det()
+    assert signature(comp) == signature(lat)
+
+
 def test_orthogonal_complement_dependent():
     with pytest.raises(DependentBasisError):
         orthogonal_complement(catalog("U"), [(1, 0), (2, 0)])
@@ -249,6 +259,22 @@ def test_sublattice_basis_must_be_integral(check):
 def test_gram_lattice_holds_its_gram_matrix_once():
     for lat in (catalog("U(2)"), catalog("diag(2,-4)"), a_lattice(), k3_lattice(), m_lattice()):
         assert lat.int_rows is lat.gram.entries
+        assert {type(row) for row in lat.int_rows} == {tuple}
+        assert lat.rank == len(lat.int_rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[Fraction(2, 2), 0], [0, 2]], "must be int"),
+    ([[1.0, 0], [0, 2]], "must be int"),
+    ([[True, 0], [0, 2]], "must be int"),
+    ([[0, 1], [1]], "ragged"),
+    ([[0, 1, 0], [1, 0, 0]], "symmetric"),
+    ([[0, 1], [2, 0]], "symmetric"),
+    ([[0, 1], [1, 1]], "not even"),
+], ids=["fraction", "float", "bool", "ragged", "non-square", "asymmetric", "odd-diagonal"])
+def test_gram_lattice_checks_its_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        GramLattice(rows)
 
 
 def test_same_genus():
@@ -274,7 +300,7 @@ def _gram_strategy(st, max_rank=6, entry=None):
                     for i in range(n)]
             for i in range(n):
                 rows[i][i] *= 2
-            return GramLattice(ExactMatrix.from_rows(rows))
+            return GramLattice(rows)
 
         return entries.map(gram)
 
@@ -291,7 +317,7 @@ def test_inner_matches_fraction_reference_property():
     def check(lat, data):
         u = data.draw(st.lists(coord, min_size=lat.rank, max_size=lat.rank))
         v = data.draw(st.lists(coord, min_size=lat.rank, max_size=lat.rank))
-        gv = [sum(lat.gram[i, j] * Fraction(v[j]) for j in range(lat.rank))
+        gv = [sum(lat.int_rows[i][j] * Fraction(v[j]) for j in range(lat.rank))
               for i in range(lat.rank)]
         expected = sum(Fraction(u[i]) * gv[i] for i in range(lat.rank))
         value = lat.inner(u, v)
@@ -319,7 +345,7 @@ def test_norm_matches_inner_and_fraction_reference_property():
     @hypothesis.given(_gram_strategy(st, max_rank=8, entry=entry), st.data())
     def check(lat, data):
         v = data.draw(st.lists(st.integers(-9, 9), min_size=lat.rank, max_size=lat.rank))
-        expected = sum(lat.gram[i, j] * v[i] * v[j]
+        expected = sum(lat.int_rows[i][j] * v[i] * v[j]
                        for i in range(lat.rank) for j in range(lat.rank))
         value = lat.norm(tuple(v))
         assert value == lat.inner(v, v) == expected
@@ -332,7 +358,7 @@ def test_norm_matches_inner_and_fraction_reference_property():
                          ids=["zero-rank-1", "rank-1", "zero-rank-3", "one-off-diagonal"])
 def test_norm_of_forms_with_fewer_than_two_terms(rows):
     # an itemgetter of one index returns a scalar; the form pads itself
-    lat = GramLattice(ExactMatrix.from_rows(rows))
+    lat = GramLattice(rows)
     for v in product(range(-2, 3), repeat=lat.rank):
         value = lat.norm(v)
         assert type(value) is int
@@ -346,7 +372,7 @@ def test_norm_rejects_non_int_vectors():
     for wrong in (half, (1, 0, 0), (1, 0, 0, 0, 0, 0, 0), (), flags):
         with pytest.raises(ValueError):
             a.norm(wrong)
-    empty = GramLattice(ExactMatrix.from_rows([]))
+    empty = GramLattice([])
     assert empty.norm(()) == 0
 
 
@@ -436,7 +462,7 @@ def test_reflection_matrix_formula_on_box():
     deltas = [v for v in product(range(-2, 3), repeat=6) if any(v) and a.norm(v) == -2]
     assert deltas
     for delta in deltas:
-        gd = apply(a.gram, delta)
+        gd = apply(a.int_rows, delta)
         expected = tuple(
             tuple(int(r == c) + delta[r] * gd[c] for c in range(6)) for r in range(6)
         )
@@ -487,7 +513,7 @@ def test_reflections_compute_smith_form_once(monkeypatch):
 
 def test_discriminant_group_degenerate():
     with pytest.raises(DegenerateLatticeError):
-        discriminant_group(GramLattice(ExactMatrix.from_rows([[0, 0], [0, 2]])))
+        discriminant_group(GramLattice([[0, 0], [0, 2]]))
 
 
 def test_primitive_sublattice_dependent():
@@ -524,7 +550,7 @@ def test_json_gram_singular_only_modulo_the_rank_prime_is_kept():
     # det = 2p is a multiple of the prime p but not 0, so the exact
     # determinant decides
     p = lattice._RANK_PRIME
-    assert rank_mod_p(GramLattice(ExactMatrix.from_rows([[2 * p]])), p) == 0
+    assert rank_mod_p([[2 * p]], p) == 0
     assert lattice_from_json(f'{{"gram": [[{2 * p}]]}}').det() == 2 * p
 
 
