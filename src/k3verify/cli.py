@@ -140,18 +140,19 @@ def run_disc_factor(args) -> CheckReport:
             report.constants["c"] = c
     else:
         fac = families.disc_factorization()
-        product = fac.c * families.r_poly() ** 3 * families.printed_d90()
+        (n, d, ab, hg), r, d90 = fac.factors, families.r_poly(), families.printed_d90()
         report.check(
             "disc(R) = c * r^3 * d90 (symbolic)",
-            fac.disc == product,
-            f"disc(R) has {fac.disc.term_count()} terms, c * r^3 * d90 has "
-            f"{product.term_count()}",
+            ab == -r and n * hg == 27 * fac.c * d * d90,
+            "res(a, b) = -r and N * H = 27 * c * D * d90 for H = res(h, g)/B^2; terms of "
+            f"res(a, b), N, H, D, d90: {[p.term_count() for p in (ab, n, hg, d, d90)]}",
         )
         report.check(f"c = {_README_C}", fac.c == _README_C, f"c = {fac.c}")
+        wr, wd = r.weighted_degree(), d90.weighted_degree()
         report.check(
             "disc(R) weighted-homogeneous of weight 180",
-            fac.disc.is_weighted_homogeneous() and fac.disc.weighted_degree() == 180,
-            f"weight {fac.disc.weighted_degree()}",
+            r.is_weighted_homogeneous() and d90.is_weighted_homogeneous() and 3 * wr + wd == 180,
+            f"r and d90 homogeneous of weights {wr} and {wd}: 3 * {wr} + {wd} = {3 * wr + wd}",
         )
         report.constants["c"] = fac.c
     return report
@@ -323,12 +324,13 @@ def run_cd(args) -> CheckReport:
     ok, witness = families.cd_specialize_check()
     report.check("CD chart specialization matches S(t)", ok, witness=witness)
     fac = families.cd_disc_factorization()
+    n, d, ab, hg = fac.factors
     gamma = WeightedPolynomial.variable(families.CD_TABLE, "gamma")
-    product = fac.c_prime * gamma ** 3 * fac.r0 ** 3 * fac.d0
     report.check(
         "disc(R0) = c' * gamma^3 * r0^3 * d0",
-        fac.disc == product,
-        f"disc(R0) has {fac.disc.term_count()} terms, d0 has {fac.d0.term_count()}",
+        ab == fac.r0 and n * hg == fac.c_prime * d * gamma ** 3 * fac.d0,
+        "res(a, b) = r0 and N * H = c' * D * gamma^3 * d0 for H = res(h, g)/B^2; terms of "
+        f"res(a, b), N, H, D, d0: {[p.term_count() for p in (ab, n, hg, d, fac.d0)]}",
     )
     report.check(f"c' = {_README_C_PRIME}", fac.c_prime == _README_C_PRIME,
                  f"c' = {fac.c_prime}")

@@ -6,7 +6,7 @@ rows of the first argument on top.  Eliminating a variable drops it: the
 resultant and the discriminant live over the table of their operands without
 the eliminated variable, so disc_x0(R) lands on (t4, t6, t10, t12, t18).
 Each operand is split by that variable once, straight into integer kernel
-values over the smaller table (see ``wpoly._Kernel``), and the chain runs on
+values over the smaller table (``wpoly._Kernel.split``), and the chain runs on
 those.  It is Ducos' subresultant algorithm (Ducos, "Optimizations of the
 subresultant algorithm", JPAA 145, 2000): one pseudo-remainder, then each
 subresultant from the previous two by Ducos' reduction, which divides
@@ -18,12 +18,14 @@ as pairs (``_Kernel.dot_div``): large weighted-homogeneous ones, as in disc(R),
 are summed and divided as packed big ints, and a quotient is kept only when
 two coefficient bounds prove it exact (see ``wpoly._Kernel``).
 
-``delta_resultant`` gives res(R, R') for the families' R = 4x^e a^3 + 27b^2
-from two checked cofactor congruences; ``discriminant`` is its test oracle.
+``delta_factors`` gives res(R, R') for the families' R = 4x^e a^3 + 27b^2 as
+factors, from two checked cofactor congruences; ``discriminant`` is its oracle.
 """
 from __future__ import annotations
 
-from .wpoly import VariableTable, WeightedPolynomial, _Kernel
+from typing import NamedTuple
+
+from .wpoly import WeightedPolynomial, _Kernel
 
 
 class BothConstantError(ValueError):
@@ -101,23 +103,6 @@ def _prem(a, b, kernel):
     return r
 
 
-def _split(polys, var):
-    """A kernel over the table of ``polys`` without ``var``, and the
-    coefficients of each polynomial in ``var``, lowest power first, as its
-    values."""
-    table = polys[0].table
-    i = table.index(var)
-    kernel = _Kernel(VariableTable(table.names[:i] + table.names[i + 1 :],
-                                   table.weights[:i] + table.weights[i + 1 :]))
-    values = []
-    for p in polys:
-        coeffs = [[] for _ in range(p.degree_in(var) + 1)]
-        for exp, c in p.terms.items():
-            coeffs[exp[i]].append((exp[:i] + exp[i + 1 :], c))
-        values.append([kernel.value(terms) for terms in coeffs])
-    return kernel, values
-
-
 def resultant(f: WeightedPolynomial, g: WeightedPolynomial, var: str) -> WeightedPolynomial:
     """Resultant of f and g with respect to ``var``, over their table without
     ``var``.
@@ -128,7 +113,7 @@ def resultant(f: WeightedPolynomial, g: WeightedPolynomial, var: str) -> Weighte
     f._check_table(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined here")
-    kernel, (a, b) = _split([f, g], var)
+    kernel, (a, b) = _Kernel(f.table).split([f, g], var)
     m, n = len(a) - 1, len(b) - 1
     if m < 1 and n < 1:
         raise BothConstantError(f"both inputs constant in {var!r}")
@@ -229,13 +214,26 @@ def discriminant(f: WeightedPolynomial, var: str) -> WeightedPolynomial:
     n = f.degree_in(var)
     if n < 2:
         raise DegreeTooLowError(f"degree {n} in {var!r} is below 2")
-    kernel, (a, b) = _split([f, f.derivative(var)], var)
+    kernel, (a, b) = _Kernel(f.table).split([f, f.derivative(var)], var)
     quotient = kernel.poly(kernel.exact_div(_resultant_ducos(a, b, kernel), a[-1]))
     return -quotient if (n * (n - 1) // 2) % 2 else quotient
 
 
-def delta_resultant(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: str):
-    """res(R, R') over the table without x = ``var``, for R = 4 x^e a^3 + 27 b^2.
+class DeltaFactors(NamedTuple):
+    """res(R, R') = numerator * hg * ab^3 / denominator (see ``delta_factors``)."""
+
+    numerator: WeightedPolynomial
+    denominator: WeightedPolynomial
+    ab: WeightedPolynomial
+    hg: WeightedPolynomial
+
+    def product(self) -> WeightedPolynomial:
+        return (self.numerator * self.hg * self.ab ** 3).exact_div(self.denominator)
+
+
+def delta_factors(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: str) -> DeltaFactors:
+    """The factors of res(R, R') over the table without x = ``var``, for
+    R = 4 x^e a^3 + 27 b^2: ab = res(a, b), hg = res(h, g) / res(c, b')^2.
 
     For c = e a + 3x a', h = b c - 2x a b' and g = a c^2 + 27 x^(2-e) b'^2 it
     checks 27 b R' = 108 x^(e-1) a^2 h + 54 b' R and h | R c^2 - 4 x^e a^2 g.
@@ -246,9 +244,10 @@ def delta_resultant(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: s
 
     with n = deg R, m = deg h = deg b + 1 and deg g = n - e.  Only res(h, g)
     runs a long chain; each other resultant is a power of res(a, b) or of
-    res(c, b') times a small cofactor, divided out exactly first.  A shape
-    that fails the checks below, or has res(a, b) res(c, b') = 0, raises
-    ValueError before that.
+    res(c, b') times a small cofactor, divided out exactly first; the
+    cofactors make up the numerator and the denominator.  A shape that fails
+    the checks below, or has res(a, b) res(c, b') = 0, raises ValueError
+    before that.
     """
     a._check_table(b)
     i = a.table.index(var)
@@ -267,12 +266,16 @@ def delta_resultant(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: s
         raise ArithmeticError("27 b R' != 108 x^(e-1) a^2 h + 54 b' R")
     (big * c ** 2 - 4 * x ** e * a ** 2 * g).exact_div(h)
     n, m = big.degree_in(var), h.degree_in(var)
-    kernel, (coeffs,) = _split([big], var)
+    kernel, (coeffs,) = _Kernel(big.table).split([big], var)
     numerator = ((-1) ** (n * m) * 4 ** (n + m) * kernel.poly(coeffs[-1]) ** (n - e - 3)
                  * resultant(big, x, var) ** (e - 1) * resultant(h, x, var) ** e
                  * resultant(big, a, var).exact_div(ab ** 2) ** 2
-                 * resultant(h, a, var).exact_div(ab) ** 2
-                 * resultant(h, g, var).exact_div(beta ** 2))
+                 * resultant(h, a, var).exact_div(ab) ** 2)
     denominator = (resultant(big, b, var).exact_div(ab ** 3)
                    * resultant(h, c, var).exact_div(beta) ** 2)
-    return (numerator * ab ** 3).exact_div(denominator)
+    return DeltaFactors(numerator, denominator, ab, resultant(h, g, var).exact_div(beta ** 2))
+
+
+def delta_resultant(a: WeightedPolynomial, b: WeightedPolynomial, e: int, var: str):
+    """res(R, R') as the product of its ``delta_factors``."""
+    return delta_factors(a, b, e, var).product()

@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import upoly
-from .eliminate import PitConfig, delta_resultant, resultant, sample_point, splitmix64
+from .eliminate import DeltaFactors, PitConfig, delta_factors, resultant, sample_point, splitmix64
 from .upoly import irreducible_mod_p
 from .weierstrass import WeierstrassModel
 from .wpoly import VariableTable, WeightedPolynomial, parse, render, specializer
@@ -133,34 +133,39 @@ def printed_d90() -> WeightedPolynomial:
     return parse(_load_text("d90.poly"), T_TABLE)
 
 
-def _content_and_sign(p: WeightedPolynomial) -> int:
-    """Content of p, signed so p / content has a positive leading term."""
-    content = gcd(*p.terms.values())
-    return -content if p.leading_term()[1] < 0 else content
+def _read_off(factors, ab: WeightedPolynomial, divisor: WeightedPolynomial):
+    """(c, q / c) for q = N * H / ``divisor`` once res(a, b) = ``ab``: c is
+    the content of q, signed so that q / c has a positive leading term."""
+    if factors.ab != ab:
+        raise ConsistencyFailure(f"res(a, b) = {render(factors.ab)}, not {render(ab)}")
+    q = (factors.numerator * factors.hg).exact_div(divisor)
+    c = gcd(*q.terms.values()) * (-1 if q.leading_term()[1] < 0 else 1)
+    return c, q.exact_div(c)
 
 
 class DiscFactorization(NamedTuple):
-    """disc_{x0}(R) = c * r^3 * d90 with the fitted constant c."""
+    """disc_{x0}(R) = c * r^3 * d90 with the fitted constant c, read off the
+    ``delta_factors`` of res(R, R')."""
 
     c: int
-    disc: WeightedPolynomial
     d90_derived: WeightedPolynomial
+    factors: DeltaFactors
+    # disc(R) = -res(R, R') / 27, assembled from the factors on each read
+    disc = property(lambda self: self.factors.product().exact_div(-27))
 
 
 @lru_cache(maxsize=1)
 def disc_factorization() -> DiscFactorization:
     """Symbolic factorization of the weight-180 discriminant of R.
 
-    disc(R) = -res(R, R') / 27 by ``delta_resultant`` of the dual polynomials
-    (e = 1).  The quotient disc / r^3 is computed by exact division; its
-    content is the constant c and its primitive part is the derived d90.
+    disc(R) = -res(R, R') / 27 = -N H res(a, b)^3 / (27 D) by ``delta_factors``
+    of the dual polynomials (e = 1), so with res(a, b) = -r, c d90 = N H / (27 D):
+    its content is the constant c and its primitive part is the derived d90.
     Nothing is assumed about c; it is reported in the result.
     """
-    disc = delta_resultant(*dual_polynomials(), 1, "x0").exact_div(-27)
-    quotient = disc.exact_div(r_poly() ** 3)
-    c = _content_and_sign(quotient)
-    derived = quotient.exact_div(c)
-    return DiscFactorization(c=c, disc=disc, d90_derived=derived)
+    factors = delta_factors(*dual_polynomials(), 1, "x0")
+    c, d90 = _read_off(factors, -r_poly(), 27 * factors.denominator)
+    return DiscFactorization(c=c, d90_derived=d90, factors=factors)
 
 
 def d90_poly() -> WeightedPolynomial:
@@ -259,33 +264,32 @@ def cd_r0_poly() -> WeightedPolynomial:
 
 class CdDiscFactorization(NamedTuple):
     """disc_{x1}(R0) = c' * gamma^3 * r0^3 * d0 with the fitted constant c',
-    where ``disc`` is taken in the resultant normalization res(R0, R0')."""
+    where ``disc`` is taken in the resultant normalization res(R0, R0'), read
+    off its ``delta_factors``."""
 
     c_prime: int
     r0: WeightedPolynomial
     d0: WeightedPolynomial
-    disc: WeightedPolynomial
+    factors: DeltaFactors
+    disc = property(lambda self: self.factors.product())  # assembled on each read
 
 
 @lru_cache(maxsize=1)
 def cd_disc_factorization() -> CdDiscFactorization:
     """Factor the discriminant of the degree-5 polynomial R0 of the CD model.
 
-    R0 = 4 x1^2 a^3 + 27 b^2 for a = g2 / x1^4 and b = g3 / x1^5, so
-    ``delta_resultant`` (e = 2) gives the discriminant in the resultant
-    normalization res(R0, R0'), which keeps the leading coefficient
-    -4 gamma^3 of the quintic as a factor; that is exactly the gamma^3 in the
-    stated product (the lc-divided discriminant carries only r0^3 * d0).
+    R0 = 4 x1^2 a^3 + 27 b^2 for a = g2 / x1^4 and b = g3 / x1^5, so with
+    res(a, b) = r0 the ``delta_factors`` (e = 2) give c' gamma^3 d0 = N H / D in
+    the resultant normalization res(R0, R0'), which keeps the leading coefficient
+    -4 gamma^3 of the quintic as a factor: the gamma^3 in the stated product
+    (the lc-divided discriminant carries only r0^3 * d0).
     """
     g2, g3 = build_scd_symbolic()
     x1 = _var(CDX_TABLE, "x1")
-    res = delta_resultant(g2.exact_div(x1 ** 4), g3.exact_div(x1 ** 5), 2, "x1")
+    factors = delta_factors(g2.exact_div(x1 ** 4), g3.exact_div(x1 ** 5), 2, "x1")
     gamma = _var(CD_TABLE, "gamma")
-    r0 = cd_r0_poly()
-    quotient = res.exact_div(gamma ** 3).exact_div(r0 ** 3)
-    c_prime = _content_and_sign(quotient)
-    d0 = quotient.exact_div(c_prime)
-    return CdDiscFactorization(c_prime=c_prime, r0=r0, d0=d0, disc=res)
+    c_prime, d0 = _read_off(factors, cd_r0_poly(), factors.denominator * gamma ** 3)
+    return CdDiscFactorization(c_prime=c_prime, r0=cd_r0_poly(), d0=d0, factors=factors)
 
 
 _CD_SUBSTITUTION = {"t4": "-3*alpha", "t6": "-2*beta", "t10": "-gamma", "t12": "delta", "t18": "0"}
@@ -314,8 +318,8 @@ def _chart_swap(p: WeightedPolynomial, bound: int) -> WeightedPolynomial:
     becomes x0^(bound - e)."""
     if p.degree_in("x1") > bound:
         raise ValueError("chart swap bound too small")
-    terms = {exp[:-1] + (bound - exp[-1],): c for exp, c in p.terms.items()}
-    return WeightedPolynomial(MIX_TABLE, terms)
+    return WeightedPolynomial.from_terms(
+        MIX_TABLE, {exp[:-1] + (bound - exp[-1],): c for exp, c in p.terms.items()})
 
 
 # -- dimension counts ------------------------------------------------------------

@@ -1,22 +1,21 @@
 """Sparse multivariate polynomials over the integers with weighted grading.
 
-A ``WeightedPolynomial`` stores its terms as a map from exponent tuples to
-nonzero ``int`` coefficients, so equal polynomials always have identical term
-maps.  The canonical term order is descending weighted degree, ties broken by
-descending lexicographic exponent order in declared variable order.
-
-Multiplication, powers and exact division in Z[t] run on a private integer
-kernel: each operand is converted once into a map from packed monomial to
-``int`` (see ``_Kernel``).  A large sum of products of weighted-homogeneous
-operands divided exactly, as in each step of the subresultant chain of the
-weight-180 discriminant, is formed from big-int products with one variable
-packed into each coefficient (``_Kernel.dot_div``).
+A ``WeightedPolynomial`` is stored as a value of the private integer kernel
+(``_Kernel``): a map from packed monomial to nonzero ``int``, so equal
+polynomials always have identical maps.  Arithmetic, ``==``, exact division,
+derivatives, degrees and weights read the packed keys, and ``terms`` views
+them as a map from exponent tuples.  The canonical term order is descending
+weighted degree, ties broken by descending lexicographic exponent order in
+declared variable order.  A large sum of products of weighted-homogeneous
+operands divided exactly, as in each step of a subresultant chain, is formed
+from big-int products with one variable packed into each coefficient
+(``_Kernel.dot_div``).
 
 Rationals appear only at points, whose coordinates are ``int`` or
 ``Fraction``, and in ``render_terms``, which also writes ``Fraction``
 coefficients.  Each polynomial keeps the ``specializer``s that ``evaluate``
 and ``univariate_at`` build for it, which is sound because no operation
-mutates ``terms`` after construction.
+mutates a polynomial after construction.
 
 The text format is a regular grammar, read term by term with anchored ``re``
 matches: an optional sign (required before every term but the first), an
@@ -29,6 +28,7 @@ Dense univariate arithmetic, over Z and over F_p, lives in ``upoly``.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
@@ -70,9 +70,9 @@ def _check_coefficient(c):
 
 class VariableTable:
     """Ordered variable names with positive integer weights, equal and hashed
-    by value."""
+    by value; ``_kernel`` packs the monomials of polynomials over them."""
 
-    __slots__ = ("names", "weights")
+    __slots__ = ("names", "weights", "_kernel")
 
     def __init__(self, names, weights):
         self.names = tuple(names)
@@ -83,6 +83,7 @@ class VariableTable:
             raise ValueError("variable names must be unique")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be >= 1")
+        self._kernel = _Kernel(self)
 
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
@@ -108,18 +109,22 @@ class VariableTable:
 class WeightedPolynomial:
     """A sparse polynomial over Z, graded by the table's variable weights.
 
-    ``terms`` is never mutated once the polynomial is built: every operation
-    returns a new polynomial, and the specializers cached in ``_specializers``
-    rely on that.  Arithmetic and ``==`` take polynomials and ``int``s
-    only, so a polynomial never equals a ``Fraction`` or a ``float``.
+    Its kernel value, viewed by exponent tuples as ``terms``, is never
+    mutated: every operation returns a new polynomial, and the cached
+    specializers rely on that.  Arithmetic and ``==`` take polynomials and
+    ``int``s only, so a polynomial never equals a ``Fraction`` or a ``float``.
     """
 
-    __slots__ = ("table", "terms", "_specializers")
+    __slots__ = ("table", "_value", "_specializers")
 
-    def __init__(self, table: VariableTable, terms: dict):
+    def __init__(self, table: VariableTable, value: dict):
         self.table = table
-        self.terms = terms
+        self._value = value
         self._specializers = {}  # var, or None for evaluate -> specializer
+
+    @property
+    def terms(self) -> "TermView":
+        return TermView(self.table._kernel, self._value)
 
     # -- constructors ------------------------------------------------------
 
@@ -130,64 +135,50 @@ class WeightedPolynomial:
     @staticmethod
     def constant(table: VariableTable, value: int) -> "WeightedPolynomial":
         _check_coefficient(value)
-        return WeightedPolynomial(table, {(0,) * len(table): value} if value else {})
+        return WeightedPolynomial(table, {0: value} if value else {})
 
     @staticmethod
     def variable(table: VariableTable, name: str) -> "WeightedPolynomial":
-        i = table.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(table)))
-        return WeightedPolynomial(table, {exp: 1})
+        return WeightedPolynomial(table, {1 << table._kernel.shifts[table.index(name)]: 1})
 
     @staticmethod
     def from_terms(table: VariableTable, mapping) -> "WeightedPolynomial":
-        terms = {}
-        n = len(table)
+        value = {}
         for exp, coeff in dict(mapping).items():
-            exp = tuple(exp)
-            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp!r}")
+            key = table._kernel.key(exp)
             _check_coefficient(coeff)
             if coeff:
-                terms[exp] = coeff
-        return WeightedPolynomial(table, terms)
+                value[key] = coeff
+        return WeightedPolynomial(table, value)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._value
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._value)
 
     def weighted_degree(self):
-        if not self.terms:
-            return NEG_INFINITY
-        wd = self.table.weighted_degree_of
-        return max(wd(exp) for exp in self.terms)
+        return max(map(self.table._kernel.weight, self._value), default=NEG_INFINITY)
 
     def is_weighted_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        wd = self.table.weighted_degree_of
-        degrees = {wd(exp) for exp in self.terms}
-        return len(degrees) == 1
+        return len(set(map(self.table._kernel.weight, self._value))) <= 1
 
     def degree_in(self, var: str):
-        if not self.terms:
-            return NEG_INFINITY
-        i = self.table.index(var)
-        return max(exp[i] for exp in self.terms)
+        s = self.table._kernel.shifts[self.table.index(var)]
+        return max(((key >> s) & _FIELD_MASK for key in self._value), default=NEG_INFINITY)
 
     def leading_term(self):
         """(exponents, coefficient) that is maximal in the canonical order."""
-        if not self.terms:
+        if not self._value:
             raise ValueError("zero polynomial has no leading term")
-        wd = self.table.weighted_degree_of
-        exp = max(self.terms, key=lambda e: (wd(e), e))
-        return exp, self.terms[exp]
+        kernel = self.table._kernel
+        key = max(self._value, key=lambda k: (kernel.weight(k), k))
+        return kernel.exponents(key), self._value[key]
 
     # -- ring operations ---------------------------------------------------
 
@@ -206,29 +197,29 @@ class WeightedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self._value == other._value
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash((self.table, frozenset(self._value.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        return WeightedPolynomial(self.table, _Kernel.add(self.terms, other.terms))
+        return WeightedPolynomial(self.table, _Kernel.add(self._value, other._value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightedPolynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return WeightedPolynomial(self.table, {k: -c for k, c in self._value.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        return WeightedPolynomial(self.table, _Kernel.sub(self.terms, other.terms))
+        return WeightedPolynomial(self.table, _Kernel.sub(self._value, other._value))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -238,17 +229,14 @@ class WeightedPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        kernel = _Kernel(self.table)
-        return kernel.poly(kernel.mul(*kernel.pack([self, other])))
+        return WeightedPolynomial(self.table, self.table._kernel.mul(self._value, other._value))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        kernel = _Kernel(self.table)
-        (base,) = kernel.pack([self])
-        return kernel.poly(kernel.pow(base, k))
+        return WeightedPolynomial(self.table, self.table._kernel.pow(self._value, k))
 
     # -- evaluation and derivative -----------------------------------------
 
@@ -285,11 +273,11 @@ class WeightedPolynomial:
         return self._specialized(var, point)
 
     def derivative(self, var: str) -> "WeightedPolynomial":
-        # distinct exponents stay distinct and every coefficient nonzero
-        i = self.table.index(var)
+        # distinct keys stay distinct and every coefficient nonzero
+        s = self.table._kernel.shifts[self.table.index(var)]
         return WeightedPolynomial(self.table, {
-            exp[:i] + (exp[i] - 1,) + exp[i + 1 :]: c * exp[i]
-            for exp, c in self.terms.items() if exp[i]})
+            key - (1 << s): c * ((key >> s) & _FIELD_MASK)
+            for key, c in self._value.items() if (key >> s) & _FIELD_MASK})
 
     # -- division ----------------------------------------------------------
 
@@ -300,8 +288,36 @@ class WeightedPolynomial:
         if other is NotImplemented:
             raise TypeError(f"cannot divide a polynomial by {type(divisor).__name__}")
         self._check_table(other)
-        kernel = _Kernel(self.table)
-        return kernel.poly(kernel.exact_div(*kernel.pack([self, other])))
+        kernel = self.table._kernel
+        return kernel.poly(kernel.exact_div(self._value, other._value))
+
+
+class TermView(Mapping):
+    """A read-only map from exponent tuple to ``int`` over a kernel value: a
+    lookup packs the exponents, and only iterating unpacks the keys."""
+
+    __slots__ = ("_kernel", "_value")
+
+    def __init__(self, kernel: "_Kernel", value: dict):
+        self._kernel, self._value = kernel, value
+
+    def __len__(self):
+        return len(self._value)
+
+    def __getitem__(self, exponents):
+        try:
+            return self._value[self._kernel.key(exponents)]
+        except (ValueError, OverflowError, TypeError):
+            raise KeyError(exponents) from None
+
+    def __iter__(self):
+        return map(self._kernel.exponents, self._value)
+
+    def items(self):
+        return zip(self, self._value.values())
+
+    def values(self):
+        return self._value.values()
 
 
 def specializer(parts, width):
@@ -352,6 +368,7 @@ def specializer(parts, width):
 # bit, so exponents stay below 2**(_FIELD_BITS - 1).
 _FIELD_BITS = 16
 _EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = _EXPONENT_LIMIT - 1
 
 # Sums of products of at least this many term products pack.
 _PACK_MIN = 4096
@@ -360,13 +377,13 @@ _PACK_MIN = 4096
 class _Kernel:
     """Integer polynomial arithmetic on packed monomials over one table.
 
-    A kernel value is a dict from packed monomial to nonzero ``int``.  Each
-    variable owns one ``_FIELD_BITS``-wide field, variable 0 the most
-    significant, so comparing keys as integers is the lexicographic monomial
-    order and adding keys multiplies monomials.  A sum of two exponents below
-    the limit fits its field, so a product can set a guard bit but never
-    carry into the next field.  Products are checked, and one that sets a
-    guard bit raises OverflowError instead of wrapping.
+    A kernel value is a dict from packed monomial to nonzero ``int``; every
+    ``WeightedPolynomial`` is stored as one.  Each variable owns one
+    ``_FIELD_BITS``-wide field, variable 0 the most significant, so comparing
+    keys as integers is the lexicographic monomial order and adding keys
+    multiplies monomials.  A sum of two exponents below the limit fits its
+    field, so a product can set a guard bit but never carry into the next
+    field; a product that sets one raises OverflowError instead of wrapping.
 
     ``mul`` forms a * b in a schoolbook loop.  ``dot_div`` forms the exact
     quotient N / d of N = a_1 b_1 + ... + a_k b_k, and it alone packs, when
@@ -402,28 +419,41 @@ class _Kernel:
 
     def pack(self, polys):
         """The kernel value of each polynomial, in a list."""
-        return [self.value(p.terms.items()) for p in polys]
-
-    def value(self, terms):
-        """The kernel value of (exponents, coefficient) pairs over this table."""
-        shifts = self.shifts
-        value = {}
-        for exp, c in terms:
-            if exp and max(exp) >= _EXPONENT_LIMIT:
-                raise OverflowError(f"exponent in {exp} exceeds the packing width")
-            value[sum(map(lshift, exp, shifts))] = c
-        return value
+        return [p._value for p in polys]
 
     def poly(self, value) -> WeightedPolynomial:
         """The polynomial of a kernel value."""
-        mask = _EXPONENT_LIMIT - 1
-        shifts = self.shifts
-        terms = {tuple((key >> s) & mask for s in shifts): c for key, c in value.items()}
-        return WeightedPolynomial(self.table, terms)
+        return WeightedPolynomial(self.table, value)
 
-    @staticmethod
-    def one():
-        return {0: 1}
+    def key(self, exponents) -> int:
+        """The packed monomial of a tuple of ``int`` exponents over this table."""
+        if len(exponents) != len(self.shifts) or any(
+                type(e) is not int or e < 0 for e in exponents):
+            raise ValueError(f"bad exponent vector {tuple(exponents)!r}")
+        if max(exponents, default=0) >= _EXPONENT_LIMIT:
+            raise OverflowError(f"exponent in {tuple(exponents)} exceeds the packing width")
+        return sum(map(lshift, exponents, self.shifts))
+
+    def exponents(self, key) -> tuple:
+        return tuple((key >> s) & _FIELD_MASK for s in self.shifts)
+
+    def weight(self, key) -> int:
+        return sum(((key >> s) & _FIELD_MASK) * w for s, w in zip(self.shifts, self.table.weights))
+
+    def split(self, polys, var):
+        """A kernel over this table without ``var``, and the coefficients of
+        each polynomial in ``var``, lowest power first, as its values: the
+        fields above the one of ``var`` move down over it, those below stay."""
+        names, weights, i = self.table.names, self.table.weights, self.table.index(var)
+        s = self.shifts[i]
+        high, low, out = s + _FIELD_BITS, (1 << s) - 1, []
+        for value in self.pack(polys):
+            coeffs = {}  # exponent of ``var`` -> its coefficient
+            for key, c in value.items():
+                coeffs.setdefault((key >> s) & _FIELD_MASK, {})[key >> high << s | key & low] = c
+            out.append([coeffs.get(e, {}) for e in range(1 + max(coeffs, default=-1))])
+        smaller = VariableTable(names[:i] + names[i + 1 :], weights[:i] + weights[i + 1 :])
+        return smaller._kernel, out
 
     @staticmethod
     def add(a, b):
@@ -439,15 +469,7 @@ class _Kernel:
 
     @staticmethod
     def sub(a, b):
-        out = dict(a)
-        get = out.get
-        for key, c in b.items():
-            s = get(key, 0) - c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return out
+        return _Kernel.add(a, {key: -c for key, c in b.items()})
 
     def _check(self, key):
         if key & self.guards:
@@ -482,7 +504,7 @@ class _Kernel:
         """The sum of a * b over ``pairs``, divided by d, as big ints (see the
         class docstring); None when the operands or the quotient do not suit
         it."""
-        mask, shifts, weights = _EXPONENT_LIMIT - 1, self.shifts, self.table.weights
+        mask, shifts, weights = _FIELD_MASK, self.shifts, self.table.weights
         operands = [x for pair in pairs for x in pair]
         graded = []  # (exponent columns, weight) of each operand, then of d
         for value in operands + [d]:
@@ -546,7 +568,7 @@ class _Kernel:
         wu, wv = weights[u], weights[v]
         out = []
         for key, p in terms:
-            rest = total - sum(map(mul, weights, [(key >> s) & mask for s in shifts]))
+            rest = total - self.weight(key)
             e = 0
             while p:
                 c = p & digit
@@ -566,7 +588,7 @@ class _Kernel:
         return dict(out)
 
     def pow(self, a, k: int):
-        result = self.one()
+        result = {0: 1}
         while k:
             if k & 1:
                 result = self.mul(result, a)
@@ -581,8 +603,7 @@ class _Kernel:
             raise ZeroDivisionError("division by zero polynomial")
         quotient, exact = self._divide(sorted(a.items(), reverse=True), b)
         if not exact:
-            remainder = self.sub(a, self.mul(dict(quotient), b))
-            raise NotDivisibleError(self.poly(remainder))
+            raise NotDivisibleError(self.poly(self.sub(a, self.mul(dict(quotient), b))))
         return dict(quotient)
 
     def _divide(self, dividend, b):
@@ -601,7 +622,7 @@ class _Kernel:
         guards = self.guards
         # fieldwise maximum of the divisor's exponents: q * b overflows some
         # field exactly when q times this does
-        mask = _EXPONENT_LIMIT - 1
+        mask = _FIELD_MASK
         reach = sum(max((key >> s) & mask for key in b) << s for s in self.shifts)
         quotient = []
         owed = {}  # key -> what the quotient so far contributes there
@@ -658,7 +679,7 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
     first = pos = len(text) - len(text.lstrip())
     if pos == len(text):
         raise PolynomialSyntaxError("empty input", 0)
-    terms = {}
+    value = {}
     while True:
         m = _HEAD.match(text, pos)
         sign, num = m.groups()
@@ -683,14 +704,14 @@ def parse(text: str, table: VariableTable) -> WeightedPolynomial:
         if not seen:
             raise PolynomialSyntaxError("expected a term", pos)
         # like terms add up, and one that sums to zero leaves the map, as in ``_Kernel.add``
-        exp = tuple(exps)
-        s = terms.get(exp, 0) + coeff
+        key = table._kernel.key(exps)
+        s = value.get(key, 0) + coeff
         if s:
-            terms[exp] = s
+            value[key] = s
         else:
-            terms.pop(exp, None)
+            value.pop(key, None)
         if pos == len(text):
-            return WeightedPolynomial(table, terms)
+            return WeightedPolynomial(table, value)
 
 
 def render_terms(table: VariableTable, terms) -> str:

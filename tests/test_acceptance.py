@@ -13,6 +13,7 @@ from k3verify.eliminate import PitConfig, discriminant, resultant, sample_point
 from k3verify.exactalg import inertia, smith_normal_form
 from k3verify.families import (
     T_TABLE,
+    big_r_symbolic,
     build_s,
     cd_disc_factorization,
     cd_specialize_check,
@@ -73,9 +74,11 @@ def test_criterion_1_disc_factorization():
         fact = disc_factorization()
         assert fact.c == 2176782336
         assert fact.c != 0
-        # the factorization reassembles the discriminant exactly
+        # the factorization equals the discriminant of R computed on its own
+        # path, the subresultant chain of R and R'
         c_poly = WeightedPolynomial.constant(T_TABLE, fact.c)
-        assert fact.disc == c_poly * r_poly() ** 3 * fact.d90_derived
+        disc = discriminant(big_r_symbolic(), "x0")
+        assert disc == c_poly * r_poly() ** 3 * fact.d90_derived and disc.term_count() == 616
         # fast probabilistic path: 100 trials, all residuals zero
         pit_start = time.monotonic()
         c, used, ok, witness = pit_disc_factorization(PitConfig(trials=100, seed=0))

@@ -187,10 +187,8 @@ def _statuses(capsys):
 
 
 def test_disc_factor_symbolic_wrong_factorization_fails(monkeypatch, capsys):
-    # the true disc(R) and d90, but c is twice the true constant
-    d90 = families.printed_d90()
-    true_disc = 2176782336 * families.r_poly() ** 3 * d90
-    wrong = families.DiscFactorization(c=2 * 2176782336, disc=true_disc, d90_derived=d90)
+    # the true factors and d90, but c is twice the true constant
+    wrong = families.disc_factorization()._replace(c=2 * 2176782336)
     monkeypatch.setattr(families, "disc_factorization", lambda: wrong)
     assert main(["disc-factor", "--json"]) == 1
     statuses = _statuses(capsys)
@@ -340,21 +338,62 @@ def test_pit_constant_is_checked(monkeypatch, capsys):
 @pytest.fixture
 def fresh_disc_factorization():
     families.disc_factorization.cache_clear()
+    families.cd_disc_factorization.cache_clear()
     yield
     families.disc_factorization.cache_clear()
+    families.cd_disc_factorization.cache_clear()
+
+
+def _patch_factors(monkeypatch, var, change):
+    """Make ``families.delta_factors`` apply ``change`` to the factors of the
+    family that eliminates ``var``."""
+    delta_factors = families.delta_factors
+
+    def patched(a, b, e, v):
+        factors = delta_factors(a, b, e, v)
+        return change(factors) if v == var else factors
+    monkeypatch.setattr(families, "delta_factors", patched)
 
 
 def test_all_checks_the_symbolic_constant(monkeypatch, capsys, fresh_disc_factorization):
-    # a doubled disc(R) keeps d90 as its primitive part, so d90-check passes;
-    # only the exact constant of the symbolic disc-factor can fail
-    delta_resultant = families.delta_resultant
-    monkeypatch.setattr(families, "delta_resultant", lambda a, b, e, var: (
-        2 if var == "x0" else 1) * delta_resultant(a, b, e, var))
+    # a doubled constant cofactor doubles c and keeps d90 as the primitive
+    # part, so d90-check passes; only the exact constant of the symbolic
+    # disc-factor can fail
+    _patch_factors(monkeypatch, "x0", lambda f: f._replace(numerator=2 * f.numerator))
     assert main(["all", "--json"]) == 1
     statuses = _statuses(capsys)
     assert statuses["disc-factor.disc(R) = c * r^3 * d90 (symbolic)"] == "pass"
     assert [name for name, status in statuses.items() if status == "fail"] == [
         "disc-factor.c = 2176782336"]
+
+
+@pytest.mark.parametrize("var, command, name", [
+    ("x0", "disc-factor", "disc(R) = c * r^3 * d90 (symbolic)"),
+    # d0 is derived, with no printed polynomial to compare: it turns inhomogeneous
+    ("x1", "cd", "weighted degrees (gamma^3, r0^3, d0) = (30, 60, 60)"),
+])
+def test_a_non_constant_cofactor_fails(monkeypatch, capsys, fresh_disc_factorization,
+                                       var, command, name):
+    # the quotient N * H / D is still exact, and its content still the constant
+    def change(f):
+        one = WeightedPolynomial.constant(f.numerator.table, 1)
+        t = WeightedPolynomial.variable(f.numerator.table, f.numerator.table.names[1])
+        return f._replace(numerator=f.numerator * (one + t))
+    _patch_factors(monkeypatch, var, change)
+    assert main([command, "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses[name] == "fail"
+    assert [s for n, s in statuses.items() if n.startswith("c")] == ["pass"]
+
+
+def test_one_wrong_d90_coefficient_fails_the_identity(monkeypatch, capsys):
+    t10 = WeightedPolynomial.variable(families.T_TABLE, "t10")
+    wrong = families.printed_d90() + t10 ** 9  # 3125 becomes 3126
+    monkeypatch.setattr(families, "printed_d90", lambda: wrong)
+    assert main(["disc-factor", "--json"]) == 1
+    statuses = _statuses(capsys)
+    assert statuses["disc(R) = c * r^3 * d90 (symbolic)"] == "fail"
+    assert statuses["c = 2176782336"] == "pass"
 
 
 @pytest.mark.parametrize("weight", ["-5", "401", "ten"])

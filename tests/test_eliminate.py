@@ -38,7 +38,7 @@ def _bareiss_resultant(f, g, var):
         terms = [{} for _ in range(max(exp[i] for exp in p.terms) + 1)]
         for exp, c in p.terms.items():
             terms[exp[i]][exp[:i] + exp[i + 1:]] = c
-        return [WeightedPolynomial(rest, t) for t in terms]
+        return [WeightedPolynomial.from_terms(rest, t) for t in terms]
 
     a, b = coefficients(f), coefficients(g)
     m, n = len(a) - 1, len(b) - 1
@@ -175,22 +175,20 @@ def test_ducos_gapped_pairs_match_bareiss(monkeypatch):
     assert 1 in gaps and any(gap >= 2 for gap in gaps)
 
 
-def test_disc_r_intermediates_stay_small(monkeypatch):
-    # forming the full pseudo-remainder of the last step before dividing it
-    # built a 10,344-term product here
-    from k3verify.families import big_r_symbolic
-
-    big_r = big_r_symbolic()
-    sizes = []
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """The term count of every kernel product and dividend, listed under the
+    name of the kernel method that forms it."""
+    sizes = {"mul": [], "exact_div": [], "dot_div": []}
     mul, exact_div, dot_div = _Kernel.mul, _Kernel.exact_div, _Kernel.dot_div
 
     def sized_mul(self, a, b):
         out = mul(self, a, b)
-        sizes.append(len(out))
+        sizes["mul"].append(len(out))
         return out
 
     def sized_div(self, a, b):
-        sizes.append(len(a))
+        sizes["exact_div"].append(len(a))
         return exact_div(self, a, b)
 
     def sized_dot_div(self, pairs, d):
@@ -202,18 +200,48 @@ def test_disc_r_intermediates_stay_small(monkeypatch):
             for ka, ca in a.items():
                 for kb, cb in b.items():
                     product[ka + kb] = product.get(ka + kb, 0) + ca * cb
-            sizes.append(sum(1 for c in product.values() if c))
+            sizes["dot_div"].append(sum(1 for c in product.values() if c))
             for key, c in product.items():
                 total[key] = total.get(key, 0) + c
-        sizes.append(sum(1 for c in total.values() if c))
+        sizes["dot_div"].append(sum(1 for c in total.values() if c))
         return dot_div(self, pairs, d)
 
     monkeypatch.setattr(_Kernel, "mul", sized_mul)
     monkeypatch.setattr(_Kernel, "exact_div", sized_div)
     monkeypatch.setattr(_Kernel, "dot_div", sized_dot_div)
-    disc = discriminant(big_r, "x0")
+    return sizes
+
+
+def test_disc_r_intermediates_stay_small(kernel_sizes):
+    # forming the full pseudo-remainder of the last step before dividing it
+    # built a 10,344-term product here
+    from k3verify.families import big_r_symbolic
+
+    disc = discriminant(big_r_symbolic(), "x0")
     assert disc.term_count() == 616
+    sizes = [n for listed in kernel_sizes.values() for n in listed]
     assert sizes and max(sizes) <= 4000
+
+
+def test_all_never_forms_the_616_term_discriminant(kernel_sizes, capsys):
+    # disc(R) and disc(R0) are read off their factors: c * d90 comes from
+    # N * res(h, g)/B^2 by one exact division, and the checks compare
+    # factors, so no product or dividend outside the subresultant chains
+    # reaches the 616 terms of disc(R).  The chain of res(h, g) divides sums
+    # of products of up to 1,230 terms in ``dot_div``.
+    from k3verify import families
+    from k3verify.cli import main
+
+    for cached in (families.disc_factorization, families.cd_disc_factorization):
+        cached.cache_clear()
+    try:
+        assert main(["all", "--json"]) == 0
+    finally:
+        families.disc_factorization.cache_clear()
+        families.cd_disc_factorization.cache_clear()
+    capsys.readouterr()
+    assert max(kernel_sizes["mul"] + kernel_sizes["exact_div"]) <= 318
+    assert max(kernel_sizes["dot_div"]) <= 1230
 
 
 def test_resultant_constant_operand():

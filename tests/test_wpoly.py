@@ -281,12 +281,16 @@ def test_exact_div_remainder_witness():
 
 
 def test_exponent_past_packing_width_overflows():
-    wide = WeightedPolynomial.from_terms(T, {(0, 0, 0, 0, _EXPONENT_LIMIT): 1})
-    t4 = WeightedPolynomial.variable(T, "t4")
+    # polynomials are stored packed, so an exponent that does not fit its
+    # field is refused when the polynomial is built
     with pytest.raises(OverflowError):
-        wide * t4
+        WeightedPolynomial.from_terms(T, {(0, 0, 0, 0, _EXPONENT_LIMIT): 1})
     with pytest.raises(OverflowError):
-        t4.exact_div(wide)
+        parse(f"t4 + t18^{_EXPONENT_LIMIT}", T)
+    top = WeightedPolynomial.from_terms(T, {(0, 0, 0, 0, _EXPONENT_LIMIT - 1): 1})
+    assert top.degree_in("t18") == _EXPONENT_LIMIT - 1
+    with pytest.raises(OverflowError):
+        top * WeightedPolynomial.variable(T, "t18")
 
 
 def test_product_carrying_across_fields_overflows():
@@ -326,6 +330,23 @@ def _schoolbook_add(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _check_queries(p, reference):
+    """Every query of ``p`` against the exponent map ``reference``."""
+    table = p.table
+    assert dict(p.terms) == reference and len(p.terms) == len(reference)
+    assert p.coefficient((9,) * len(table)) == 0  # above every exponent tested here
+    assert all(p.coefficient(e) == c and p.terms[e] == c for e, c in reference.items())
+    wd = table.weighted_degree_of
+    assert p.weighted_degree() == max(map(wd, reference), default=NEG_INFINITY)
+    if reference:
+        top = max(reference, key=lambda e: (wd(e), e))
+        assert p.leading_term() == (top, reference[top])
+    for i, var in enumerate(table.names):
+        assert p.degree_in(var) == max((e[i] for e in reference), default=NEG_INFINITY)
+        assert dict(p.derivative(var).terms) == {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in reference.items() if e[i]}
+
+
 def _poly_strategy(st):
     small = VariableTable(("u", "v", "w"), (1, 2, 3))
     coeff = st.integers(-20, 20)
@@ -345,14 +366,20 @@ def test_kernel_ring_laws_property():
         assert (p * q).terms == _schoolbook_mul(p.terms, q.terms)
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == WeightedPolynomial(
+        assert p * (q + r) == WeightedPolynomial.from_terms(
             p.table, _schoolbook_add(_schoolbook_mul(p.terms, q.terms),
                                      _schoolbook_mul(p.terms, r.terms))
         )
-        assert p ** 3 == WeightedPolynomial(
+        assert p ** 3 == WeightedPolynomial.from_terms(
             p.table, _schoolbook_mul(_schoolbook_mul(p.terms, p.terms), p.terms)
         )
         assert all(type(c) is int and c for c in (p * q).terms.values())
+        # the queries of polynomials that kernel arithmetic built read their
+        # packed keys; each agrees with the same query on an exponent map
+        pq, pr = _schoolbook_mul(p.terms, q.terms), _schoolbook_add(p.terms, r.terms)
+        for result, reference in ((p * q, pq), (p * q - r, _schoolbook_add(pq, _negated(r.terms))),
+                                  ((p + r) ** 2, _schoolbook_mul(pr, pr))):
+            _check_queries(result, reference)
 
     check()
 
