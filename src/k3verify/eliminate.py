@@ -37,18 +37,19 @@ class DegreeTooLowError(ValueError):
 
 
 class PitConfig:
-    """Trial budget, seed and coordinate bound B of a randomized test."""
+    """Trial budget, seed and coordinate bound B of a randomized test, all ``int``."""
 
     __slots__ = ("trials", "seed", "sample_bound")
 
     def __init__(self, trials: int = 100, seed: int = 0, sample_bound: int = 1_000_003):
+        for name, value in (("trials", trials), ("seed", seed), ("sample_bound", sample_bound)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if trials < 1:
             raise ValueError("trials must be >= 1")
         if sample_bound < 2:
             raise ValueError("sample_bound must be >= 2")
-        self.trials = trials
-        self.seed = seed
-        self.sample_bound = sample_bound
+        self.trials, self.seed, self.sample_bound = trials, seed, sample_bound
 
 
 _MASK = (1 << 64) - 1

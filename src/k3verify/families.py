@@ -47,8 +47,8 @@ class ConsistencyFailure(AssertionError):
 
 class ParameterPoint:
     """A nonzero point (t4, t6, t10, t12, t18) of the weighted parameter
-    space, equal by value, with ``Fraction`` coordinates from ``int``,
-    ``Fraction`` or exact text such as "-3/2", never ``float`` or ``bool``."""
+    space, equal by value, with ``int`` coordinates kept and ``Fraction``s
+    from ``Fraction`` or exact text such as "-3/2", never ``float`` or ``bool``."""
 
     __slots__ = ("t4", "t6", "t10", "t12", "t18")
 
@@ -56,7 +56,8 @@ class ParameterPoint:
         for v in (t4, t6, t10, t12, t18):
             if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
                 raise ValueError(f"coordinates must be int, Fraction or text, got {v!r}")
-        self.t4, self.t6, self.t10, self.t12, self.t18 = map(Fraction, (t4, t6, t10, t12, t18))
+        self.t4, self.t6, self.t10, self.t12, self.t18 = [
+            v if type(v) is int else Fraction(v) for v in (t4, t6, t10, t12, t18)]
         if not any(self.as_tuple()):
             raise ValueError("parameter point must be nonzero")
 
@@ -186,19 +187,16 @@ def delta_t_poly() -> WeightedPolynomial:
 
 
 def _pit_specialization():
-    """The function t -> (r(t), d90(t), the seven x0-coefficients of R(t)),
-    all ``int`` at an integer t, from one ``specializer`` of all their
-    terms: slot 0 is r, slot 1 is d90 and slot 2 + e the x0^e coefficient
-    of R, whose terms leave out the exponent of x0."""
+    """The ``specializer`` of r, d90 and R over T_TABLE, in slots 0, 1 and
+    2 + e for the x0^e coefficient of R, whose terms leave out the exponent
+    of x0: at integer points every column is ``int``."""
     parts = [(0, exp, c) for exp, c in r_poly().terms.items()]
     parts += [(1, exp, c) for exp, c in printed_d90().terms.items()]
     parts += [(2 + exp[5], exp[:5], c) for exp, c in big_r_symbolic().terms.items()]
-    at = specializer(parts, 9)
+    return specializer(parts, 9)
 
-    def split(t_point):
-        values = at(t_point)
-        return values[0], values[1], values[2:]
-    return split
+
+_PIT_CHUNK = 64  # trials per specializer call: spreads each step, keeps memory flat
 
 
 def pit_disc_factorization(cfg: PitConfig):
@@ -207,32 +205,29 @@ def pit_disc_factorization(cfg: PitConfig):
     R is specialized at random integer parameter points, its univariate
     discriminant in x0 is computed exactly, and the constant c is fitted
     from the first usable trial and then required to be constant across all
-    trials.  Each trial reads r(t), d90(t) and R(t) in ``int`` from one
-    ``wpoly.specializer`` of all their terms (``_pit_specialization``) and
-    compares disc * den == num * r^3 * d90 against the fitted c = num / den.
+    trials.  Each chunk of ``_PIT_CHUNK`` trials is specialized by
+    ``_pit_specialization`` and reduced by ``upoly.discriminants`` in ``int``,
+    then scanned in trial order: disc * den == num * r^3 * d90 for c = num / den.
     Returns (c, trials_used, ok, witness) with c a ``Fraction`` and witness
-    a failing point if any.
+    the first failing point if any.
     """
-    specialize = _pit_specialization()
-    c_fit = None
-    used = 0
-    for trial in range(cfg.trials):
-        t_point = sample_point(cfg, trial, 5)
-        r_val, d_val, coeffs = specialize(t_point)
-        if coeffs[-1] == 0:
-            continue
-        disc_val = upoly.discriminant(tuple(coeffs))
-        rhs = r_val ** 3 * d_val
-        used += 1
-        if rhs == 0:
-            if disc_val != 0:
+    specialize, c_fit, used = _pit_specialization(), None, 0
+    for start in range(0, cfg.trials, _PIT_CHUNK):
+        points = [sample_point(cfg, t, 5) for t in range(start, cfg.trials)[:_PIT_CHUNK]]
+        r_vals, d_vals, *coeffs = specialize(points)
+        discs = upoly.discriminants(list(zip(*coeffs)))  # lc(R) = 27
+        for t_point, r_val, d_val, disc_val in zip(points, r_vals, d_vals, discs):
+            rhs = r_val ** 3 * d_val
+            used += 1
+            if rhs == 0:
+                if disc_val != 0:
+                    return c_fit, used, False, t_point
+                continue
+            if c_fit is None:
+                c_fit = Fraction(disc_val, rhs)
+                num, den = c_fit.numerator, c_fit.denominator
+            elif disc_val * den != num * rhs:
                 return c_fit, used, False, t_point
-            continue
-        if c_fit is None:
-            c_fit = Fraction(disc_val, rhs)
-            num, den = c_fit.numerator, c_fit.denominator
-        elif disc_val * den != num * rhs:
-            return c_fit, used, False, t_point
     return c_fit, used, c_fit is not None, None
 
 
@@ -440,7 +435,7 @@ def genericity_certificate(point: ParameterPoint) -> dict:
     """Exact values of t18, r and d90 at the point; all nonzero means generic."""
     t = point.as_tuple()
     return {
-        "t18": t[4],
+        "t18": Fraction(t[4]),
         "r": r_poly().evaluate(t),
         "d90": printed_d90().evaluate(t),
     }

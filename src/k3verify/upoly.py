@@ -22,6 +22,7 @@ a tuple free list, which added about 1 MB to the peak RSS of a sweep.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import zip_longest
 
 
@@ -64,10 +65,7 @@ def mul(a, b) -> tuple:
 
 
 def power(a, k: int) -> tuple:
-    out = (1,)
-    for _ in range(k):
-        out = mul(out, a)
-    return out
+    return reduce(mul, [a] * (k - 1), tuple(a)) if k else (1,)
 
 
 def exact_div(a, b):
@@ -166,44 +164,60 @@ def squarefree(a):
     return strata
 
 
-def resultant(a, b) -> int:
-    """Determinant of the Sylvester matrix with the rows of a on top, by the
-    subresultant PRS; a and b must have degree at least 1."""
-    m, n = len(a) - 1, len(b) - 1
-    sign = -1 if m < n and m % 2 and n % 2 else 1
-    if m < n:
-        a, b = b, a
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r = prem(a, b)
-        a = b
-        denom = g * h ** delta
-        b = tuple([c // denom for c in r])
-        if not b:
-            return 0
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
-        if len(b) == 1:
-            break
-    q = len(a) - 1
-    res = b[0] if q == 1 else b[0] ** q // h ** (q - 1)
-    return sign * res
+def resultants(pairs) -> list:
+    """res(a, b), the Sylvester determinant with the rows of a on top, of each
+    pair of degrees at least 1: one subresultant chain (Brown and Traub, J. ACM
+    18, 1971) on coefficient columns, one list comprehension per coefficient
+    and step.  Pairs of equal degrees form a group; positions whose remainder
+    loses more than one degree, or vanishes, split off into groups of their own."""
+    out, groups, work = [0] * len(pairs), {}, []
+    for k, (a, b) in enumerate(pairs):
+        groups.setdefault((len(a), len(b)), []).append(k)
+    for (m, n), ks in groups.items():  # lengths, so even means odd degree
+        a, b = ([list(c) for c in zip(*[pairs[k][s] for k in ks])] for s in (0, 1))
+        sign = -1 if m < n and m % 2 == n % 2 == 0 else 1
+        work.append((ks, *((b, a) if m < n else (a, b)), [1] * len(ks), [1] * len(ks), sign))
+    while work:
+        ks, a, b, g, h, sign = work.pop()
+        delta = len(a) - len(b)
+        sign = -sign if len(a) % 2 == len(b) % 2 == 0 else sign
+        db, lb, r = len(b) - 1, b[-1], list(a)  # prem(a, b) at every position
+        for shift in range(delta, -1, -1):
+            top = r.pop()
+            for j in range(shift):
+                r[j] = [x * y for x, y in zip(r[j], lb)]
+            for j in range(db):
+                r[shift + j] = [x * y - t * z for x, y, t, z in zip(r[shift + j], lb, top, b[j])]
+        denom = [x * y ** delta for x, y in zip(g, h)]
+        r = [[c // d for c, d in zip(col, denom)] for col in r]
+        a, g = b, b[-1]
+        if delta:
+            h = [x ** delta // y ** (delta - 1) for x, y in zip(g, h)] if delta > 1 else g
+        degrees = [len(r) - 1] * len(ks) if all(r[-1]) else [
+            max([d for d, col in enumerate(r) if col[p]], default=-1) for p in range(len(ks))]
+        for d in set(degrees):
+            ps, cols = [p for p, e in enumerate(degrees) if e == d], [ks, *a, *r[:d + 1], g, h]
+            if len(ps) < len(ks):
+                cols = [[col[p] for p in ps] for col in cols]
+            if d == 0:
+                q = len(a) - 1
+                for k, x, y in zip(cols[0], cols[-3], cols[-1]):
+                    out[k] = sign * (x if q == 1 else x ** q // y ** (q - 1))
+            elif d > 0:
+                work.append((cols[0], cols[1:len(a) + 1], cols[len(a) + 1:-2], *cols[-2:], sign))
+    return out
+
+
+def discriminants(polys) -> list:
+    """(-1)^(n(n-1)/2) * res(f, f') / lc(f) of each f of degree n >= 2."""
+    if any(len(f) < 3 for f in polys):
+        raise ValueError(f"degree {min(map(len, polys)) - 1} is below 2")
+    res = resultants([(f, derivative(f)) for f in polys])
+    return [r // f[-1] * (-1) ** ((len(f) - 1) * (len(f) - 2) // 2) for r, f in zip(res, polys)]
 
 
 def discriminant(f) -> int:
-    """(-1)^(n(n-1)/2) * res(f, f') / lc(f) for f of degree n >= 2."""
-    n = len(f) - 1
-    if n < 2:
-        raise ValueError(f"degree {n} is below 2")
-    quotient = resultant(f, derivative(f)) // f[-1]
-    return -quotient if (n * (n - 1) // 2) % 2 else quotient
+    return discriminants([f])[0]
 
 
 # -- over F_p --------------------------------------------------------------------

@@ -96,8 +96,7 @@ NON_MINIMAL = "NonMinimal"
 
 
 def _scaled(coeffs, m):
-    """m * coeffs as an int tuple, for Fraction coeffs whose denominators
-    all divide m."""
+    """m * coeffs as an int tuple, for coeffs whose denominators divide m."""
     return tuple([c.numerator * (m // c.denominator) for c in coeffs])
 
 
@@ -167,8 +166,8 @@ class WeierstrassModel:
     """
 
     def __init__(self, g2, g3, height: int = 2):
-        g2 = upoly.trim(Fraction(c) for c in g2)
-        g3 = upoly.trim(Fraction(c) for c in g3)
+        g2 = upoly.trim([c if type(c) is int else Fraction(c) for c in g2])
+        g3 = upoly.trim([c if type(c) is int else Fraction(c) for c in g3])
         if height < 0:
             raise ValueError("height must be >= 0")
         if len(g2) > 4 * height + 1 or len(g3) > 6 * height + 1:

@@ -30,8 +30,9 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heappop, heappush
+from math import prod
 from operator import lshift, mul, or_
 
 # Not used here: benchmarks/tracing.py looks the mod-p step of the
@@ -241,9 +242,9 @@ class WeightedPolynomial:
     # -- evaluation and derivative -----------------------------------------
 
     def _specialized(self, var, point):
-        """The sums of this polynomial's specializer for ``var`` at ``point``:
-        one sum for ``var`` None, else the coefficient of each power of
-        ``var``, whose exponent is set to 0 so its coordinate is never read."""
+        """The entries of this polynomial's specializer for ``var`` at
+        ``point``: one for ``var`` None, else one per power of ``var``, whose
+        exponent is set to 0 so its coordinate is never read."""
         if len(point) != len(self.table):
             raise ValueError("point length does not match variable table")
         at = self._specializers.get(var)
@@ -255,7 +256,7 @@ class WeightedPolynomial:
                 parts = [(e[i], e[:i] + (0,) + e[i + 1 :], c) for e, c in self.terms.items()]
                 width = 1 + max((slot for slot, _exp, _c in parts), default=-1)
             at = self._specializers[var] = specializer(parts, width)
-        return at(point)
+        return [column[0] for column in at([point])]
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point given as one ``int`` or ``Fraction`` per
@@ -321,44 +322,74 @@ class TermView(Mapping):
 
 
 def specializer(parts, width):
-    """The function of a point that gives ``width`` sums: each (slot,
-    exponents, coefficient) triple of ``parts`` adds its term at the point to
-    sum ``slot``.  Each term's positions in the concatenated power rows
-    x^0..x^top of the coordinates are found once, here; each call builds the
-    rows and never reads a coordinate whose top exponent is 0.  A coordinate
-    that is read must be an ``int`` or a ``Fraction``.  Every row is ``int``,
-    so at an integer point every sum is an ``int``; a coordinate n/d gives the
-    row n^e d^(top - e), read at e = 0 too, and each sum one ``Fraction``
-    over the product of the d^top.
+    """The function of a list of points that gives ``width`` columns, one
+    entry per point: each (slot, exponents, coefficient) triple of ``parts``
+    adds its term at a point to column ``slot``.
+
+    Each slot's terms form a sparse Horner plan, built once: a node fixes the
+    variable of fewest distinct exponents (the later on a tie) and holds the
+    node of each exponent's terms, highest first.  Each step runs on whole
+    columns as one list comprehension.  A coordinate whose top exponent is 0
+    is never read, and one read must be an ``int`` or a ``Fraction``; integer
+    points give ``int`` entries.  With denominators the plan is over 2n
+    variables, n_i/d_i read as n_i^e d_i^(top_i - e), and the entries at such
+    a point are ``Fraction``s over the product of the d_i^top_i.
     """
     tops = [max(column) for column in zip(*(exp for _slot, exp, _c in parts))]
-    offsets = [sum(tops[:i]) + i for i in range(len(tops))]
-    form = [(slot, c, [o + e for o, e in zip(offsets, exp) if e]) for slot, exp, c in parts]
-    rational_form = [(slot, c, [o + e for o, e, top in zip(offsets, exp, tops) if top])
-                     for slot, exp, c in parts]
+    n, plans = len(tops), {}
 
-    def at(point):
-        rows, den = [], 1
-        for x, top in zip(point, tops):
-            d = 1
-            if top and type(x) is not int:
-                if type(x) is not Fraction:
+    def plan(terms, left):
+        if len(terms) == 1:  # a lone term is a chain of one factor each
+            (exp, node), = terms
+            for j in left:
+                node = (j, node, (), exp[j]) if exp[j] else node
+            return node
+        if not (left and terms):
+            return sum(c for _exp, c in terms)
+        counts = [len(set(column)) for column in zip(*[exp for exp, _c in terms])]
+        i = min(left, key=lambda j: (counts[j], -j))
+        groups = {}
+        for exp, c in terms:
+            groups.setdefault(exp[i], []).append((exp, c))
+        es, rest = sorted(groups, reverse=True), [j for j in left if j != i]
+        steps = tuple([(e1 - e2, plan(groups[e2], rest)) for e1, e2 in zip(es, es[1:])])
+        return i, plan(groups[es[0]], rest), steps, es[-1]
+
+    def plans_for(rational):  # with denominators, variable n + i is d_i of exponent top_i - e_i
+        if rational not in plans:
+            left = [i for i, top in enumerate(tops * (1 + rational)) if top]
+            plans[rational] = [plan([(exp + tuple([t - e for t, e in zip(tops, exp)]) if rational
+                                      else exp, c) for s, exp, c in parts if s == slot], left)
+                               for slot in range(width)]
+        return plans[rational]
+
+    def at(points):
+        m, nums, dens = len(points), [None] * n, [None] * n
+        for i in [i for i in range(n) if tops[i]]:
+            nums[i] = xs = [p[i] for p in points]
+            if any(type(x) is not int for x in xs):
+                for x in [x for x in xs if type(x) is not int and type(x) is not Fraction]:
                     raise ValueError(f"coordinates must be int or Fraction, got {x!r}")
-                x, d = x.numerator, x.denominator
-            p = 1
-            rows.append(p)
-            for _ in range(top):
-                p *= x
-                rows.append(p)
-            if d != 1:
-                rows[-top - 1:] = [v * d ** (top - k) for k, v in enumerate(rows[-top - 1:])]
-                den *= d ** top
-        sums = [0] * width
-        for slot, c, index in form if den == 1 else rational_form:
-            for k in index:
-                c *= rows[k]
-            sums[slot] += c
-        return sums if den == 1 else [Fraction(s, den) for s in sums]
+                nums[i], dens[i] = [x.numerator for x in xs], [x.denominator for x in xs]
+        rational = any(d and any(v != 1 for v in d) for d in dens)
+        base = nums + [d or [1] * m for d in dens] * rational
+        power = cache(lambda j, k: base[j] if k == 1 else [x ** k for x in base[j]])
+
+        def value(node):
+            if type(node) is int:
+                return [node] * m
+            i, h, steps, low = node
+            h = value(h)
+            for gap, c in steps:
+                h = [a * x + b for a, x, b in zip(h, power(i, gap), value(c))]
+            return [a * x for a, x in zip(h, power(i, low))] if low else h
+
+        columns = [value(node) for node in plans_for(rational)]
+        del value  # it refers to itself: keeping it would keep this call's columns
+        if not rational:
+            return columns
+        den = [prod(t) for t in zip(*[[d ** top for d in ds] for ds, top in zip(dens, tops) if ds])]
+        return [[s if q == 1 else Fraction(s, q) for s, q in zip(col, den)] for col in columns]
     return at
 
 

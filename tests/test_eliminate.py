@@ -295,6 +295,16 @@ def test_pit_config_validation():
         PitConfig(sample_bound=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials", True), ("trials", "3"), ("seed", 1.0), ("seed", False),
+    ("sample_bound", 50.0), ("sample_bound", True), ("sample_bound", None)])
+def test_pit_config_refuses_fields_that_are_not_int(field, value):
+    # trials=2.5 would crash later in range(), and a float bound would give
+    # float coordinates
+    with pytest.raises(ValueError, match=field):
+        PitConfig(**{field: value})
+
+
 def test_disc_r_matches_sympy():
     # Both sides use the convention disc_x(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)
     # for f of degree n in x, so the polynomials must agree term for term.

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3verify import families
+from k3verify import families, weierstrass
 from k3verify.eliminate import PitConfig, sample_point
 from k3verify.families import (
     ParameterPoint,
@@ -27,7 +27,8 @@ from k3verify.families import (
     random_certified_points,
 )
 from k3verify.upoly import irreducible_mod_p
-from k3verify.wpoly import VariableTable, parse
+from k3verify.wpoly import VariableTable, WeightedPolynomial, parse
+from pit_reference import reference_pit
 
 
 def _point_by_name(name):
@@ -290,8 +291,10 @@ def test_pit_specialization_matches_evaluate_and_univariate_at():
                 for _ in range(40)]
     assert all(any(x.denominator > 1 for x in t) for t in rational)
     big_r = families.big_r_symbolic()
-    for t in [sample_point(cfg, trial, 5) for trial in range(cfg.trials)] + rational:
-        r_val, d_val, coeffs = specialize(t)
+    points = [sample_point(cfg, trial, 5) for trial in range(cfg.trials)] + rational
+    r_vals, d_vals, *columns = specialize(points)
+    for k, t in enumerate(points):
+        r_val, d_val, coeffs = r_vals[k], d_vals[k], [column[k] for column in columns]
         assert r_val == r_poly().evaluate(t)
         assert d_val == printed_d90().evaluate(t)
         assert coeffs == big_r.univariate_at("x0", t + (0,))
@@ -311,16 +314,62 @@ def test_pit_fails_on_one_coefficient_of_r_off_by_one(monkeypatch):
     def off_by_one():
         specialize = specialization()
 
-        def at(t):
-            r_val, d_val, coeffs = specialize(t)
-            coeffs[2] += 1
-            return r_val, d_val, coeffs
+        def at(points):
+            r_vals, d_vals, *coeffs = specialize(points)
+            coeffs[2] = [c + 1 for c in coeffs[2]]
+            return [r_vals, d_vals, *coeffs]
         return at
 
     monkeypatch.setattr(families, "_pit_specialization", off_by_one)
     _c, used, ok, witness = pit_disc_factorization(PitConfig(trials=12, seed=3))
     assert ok is False
     assert used >= 2 and len(witness) == 5
+
+
+_K = families._PIT_CHUNK
+
+
+@pytest.mark.parametrize("trials", [1, _K - 1, _K, _K + 1, 500])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_chunked_pit_matches_the_per_trial_loop(seed, trials):
+    # chunk edges: one trial, one short of a chunk, a chunk, one past it, and
+    # the benchmark's 500
+    cfg = PitConfig(trials=trials, seed=seed)
+    assert pit_disc_factorization(cfg) == reference_pit(cfg) == (
+        Fraction(2176782336), trials, True, None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_chunked_pit_matches_the_per_trial_loop_on_a_wrong_d90(monkeypatch, seed):
+    # one d90 coefficient off by one: both name the same first failing trial
+    d90 = printed_d90()
+    exp, c = next(iter(d90.terms.items()))
+    wrong = WeightedPolynomial.from_terms(T_TABLE, {**d90.terms, exp: c + 1})
+    monkeypatch.setattr(families, "printed_d90", lambda: wrong)
+    cfg = PitConfig(trials=500, seed=seed)
+    result = pit_disc_factorization(cfg)
+    assert result == reference_pit(cfg)
+    assert result[2] is False and len(result[3]) == 5
+
+
+def test_integer_points_reach_the_model_as_int(monkeypatch):
+    # int coordinates stay int, and an int model builds no Fraction; the
+    # values equal those of the same point given as Fractions or text
+    ints = ParameterPoint(3, -2, 5, 7, 11)
+    assert all(type(v) is int for v in ints.as_tuple())
+    fractions = ParameterPoint(*map(Fraction, (3, -2, 5, 7, 11)))
+    texts = ParameterPoint("3", "-2", "5", "7", "11")
+    assert all(type(v) is Fraction for v in fractions.as_tuple() + texts.as_tuple())
+    assert ints == fractions == texts
+    assert genericity_certificate(ints) == genericity_certificate(fractions)
+    assert type(genericity_certificate(ints)["t18"]) is Fraction
+    model = build_s(fractions)
+
+    def no_fraction(*_args):
+        raise AssertionError("a Fraction was built for an int model")
+    monkeypatch.setattr(weierstrass, "Fraction", no_fraction)
+    assert build_s(ints) == model
+    assert all(type(c) is int for c in build_s(ints).g2 + build_s(ints).g3)
 
 
 def test_irreducibility_certificates_pinned():

@@ -37,12 +37,47 @@ def test_discriminant_matches_eliminate():
     assert zero >= 30 and negative_lc >= 30
 
 
+def _abnormal(f):
+    """Whether the remainder sequence of f and f' drops a degree by more than
+    one, or ends in 0, before it reaches a constant."""
+    a, b = f, upoly.derivative(f)
+    while len(b) > 1:
+        a, b = b, upoly.primitive(upoly.prem(a, b))[1]
+        if len(b) < len(a) - 1:
+            return True
+    return False
+
+
+def test_column_discriminants_match_eliminate_position_by_position():
+    # one batch with degrees 2 to 7, normal and abnormal chains, repeated
+    # roots (disc 0) and negative leading coefficients, against the
+    # multivariate chain one polynomial at a time
+    rng = random.Random(33)
+    polys = [_random_poly(rng, n) for n in range(2, 8) for _ in range(8)]
+    for n in range(2, 8):  # sparse: c + d x^n, x^(n-2) (4x^2 - 1) and 1 + 2x - x^n
+        polys += [(rng.choice([-2, 1, 3]),) + (0,) * (n - 1) + (rng.choice([-1, 2]),),
+                  (0,) * (n - 2) + (-1, 0, 4), (1, 2) + (0,) * (n - 2) + (-1,)]
+    for _ in range(12):  # a squared factor
+        root = (rng.randint(-4, 4), rng.choice([-2, -1, 1, 2]))
+        polys.append(upoly.mul(upoly.mul(root, root), _random_poly(rng, rng.randint(0, 5))))
+    rng.shuffle(polys)
+    values = upoly.discriminants(polys)
+    assert len(values) == len(polys)
+    for f, value in zip(polys, values):
+        assert value == discriminant(_wp(f), "x").coefficient(())
+    assert {len(f) - 1 for f in polys} == set(range(2, 8))
+    assert sum(map(_abnormal, polys)) >= 20
+    assert sum(v == 0 for v in values) >= 12
+    assert sum(f[-1] < 0 for f in polys) >= 10
+
+
 def test_resultant_matches_eliminate():
+    # one batch of pairs of degrees 1 to 6, checked position by position
     rng = random.Random(21)
-    for _ in range(100):
-        a = _random_poly(rng, rng.randint(1, 6))
-        b = _random_poly(rng, rng.randint(1, 6))
-        assert upoly.resultant(a, b) == resultant(_wp(a), _wp(b), "x").coefficient(())
+    pairs = [(_random_poly(rng, rng.randint(1, 6)), _random_poly(rng, rng.randint(1, 6)))
+             for _ in range(100)]
+    for (a, b), value in zip(pairs, upoly.resultants(pairs)):
+        assert value == resultant(_wp(a), _wp(b), "x").coefficient(())
 
 
 def test_discriminant_needs_degree_two():

@@ -481,9 +481,9 @@ def test_specializer_sums_terms_into_slots():
     # slot 0: 3*x*y^2 + 1 and slot 1: -x^3, at (x, y) = (2, 1/3); y's row is the
     # int 3^(2-e) and each sum one Fraction over 3^2
     at = specializer([(0, (1, 2), 3), (0, (0, 0), 1), (1, (3, 0), -1)], 2)
-    assert at((2, Fraction(1, 3))) == [Fraction(5, 3), -8]
-    assert [type(v) for v in at((2, Fraction(6, 3)))] == [int, int]
-    assert specializer([], 0)(()) == []
+    assert at([(2, Fraction(1, 3))]) == [[Fraction(5, 3)], [-8]]
+    assert [type(v) for v, in at([(2, Fraction(6, 3))])] == [int, int]
+    assert specializer([], 0)([()]) == []
 
 
 def test_specializer_puts_a_rational_point_over_one_denominator():
@@ -492,10 +492,10 @@ def test_specializer_puts_a_rational_point_over_one_denominator():
     parts = [(0, (2, 1, 0), 3), (0, (0, 0, 0), -1), (1, (1, 0, 0), 5), (1, (0, 3, 0), 2)]
     at = specializer(parts, 2)
     x, y = Fraction(-2, 3), Fraction(5, 7)
-    assert at((x, y, "unread")) == [3 * x ** 2 * y - 1, 5 * x + 2 * y ** 3]
-    assert at((x, 4, None)) == [3 * x ** 2 * 4 - 1, 5 * x + 128]
-    assert all(type(v) is Fraction for v in at((x, 4, None)))
-    assert at((3, 2, None)) == [53, 31] and all(type(v) is int for v in at((3, 2, None)))
+    assert at([(x, y, "unread")]) == [[3 * x ** 2 * y - 1], [5 * x + 2 * y ** 3]]
+    assert at([(x, 4, None)]) == [[3 * x ** 2 * 4 - 1], [5 * x + 128]]
+    assert all(type(v) is Fraction for v, in at([(x, 4, None)]))
+    assert at([(3, 2, None)]) == [[53], [31]] and all(type(v) is int for v, in at([(3, 2, None)]))
 
 
 # -- kernel products -----------------------------------------------------------
