@@ -76,9 +76,9 @@ class GramLattice:
         if any(len(row) != len(int_rows[0]) for row in int_rows):
             raise ValueError("ragged rows")
         if not {type(x) for row in int_rows for x in row} <= {int}:
-            raise ValueError("matrix entries must be int")
+            raise ValueError("matrix entries must be integers")
         if tuple(zip(*int_rows)) != int_rows:
-            raise ValueError("Gram matrix must be symmetric")
+            raise ValueError("Gram matrix must be square and symmetric")
         if any(int_rows[i][i] % 2 for i in range(n)):
             raise ValueError("lattice is not even: odd diagonal entry")
         self.int_rows = int_rows
@@ -636,18 +636,17 @@ def lattice_from_json(text: str) -> GramLattice:
         raise ValueError('"gram" must be a list of rows, each a list')
     if len(rows) > _MAX_JSON_RANK:
         raise ValueError(f'"gram" has rank {len(rows)}, above the limit {_MAX_JSON_RANK}')
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError('"gram" has ragged rows')
-    if not rows or len(rows[0]) != len(rows):
-        raise ValueError('"gram" must be a non-empty square matrix')
-    if not all(type(x) is int for row in rows for x in row):
-        raise ValueError('"gram" entries must be integers')
-    if any(abs(x) >= _MAX_JSON_ENTRY for row in rows for x in row):
-        raise ValueError('"gram" entries must lie below 2^63 in absolute value')
+    if not rows:
+        raise ValueError('"gram" must be a non-empty matrix')
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ValueError('"label" must be a string')
-    lat = GramLattice(rows, label=label)
+    try:
+        lat = GramLattice(rows, label=label)
+    except ValueError as exc:
+        raise ValueError(f'"gram": {exc}') from None
+    if any(abs(x) >= _MAX_JSON_ENTRY for row in lat.int_rows for x in row):
+        raise ValueError('"gram" entries must lie below 2^63 in absolute value')
     if rank_mod_p(lat.int_rows, _RANK_PRIME) < lat.rank and lat.det() == 0:
         raise ValueError('"gram" is degenerate: its determinant is 0')
     return lat

@@ -13,7 +13,8 @@ rediscover.
 
 Over F_p (the last section, ``irreducible_mod_p``: Ben-Or's irreducibility
 test) the same tuples hold coefficients in range(p), and only the steps that
-divide by a leading coefficient have loops of their own.
+divide by a leading coefficient have loops of their own.  Primality of p is
+decided by trial division, sized to the callers' primes, all below 100.
 
 Tuples are built from lists, never from generators: ``tuple`` of a generator
 allocates for ten items and resizes, and every such call leaves one block on
@@ -231,31 +232,8 @@ class LeadingCoefficientVanishesError(ValueError):
     pass
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _reduce(a, p: int) -> tuple:
@@ -267,43 +245,33 @@ def _monic(a, p: int) -> tuple:
     return tuple([c * inv % p for c in a])
 
 
-def _divmod_p(a, b, p: int):
-    """(q, r) with a = b * q + r and deg r < deg b over F_p, for b reduced and
-    nonzero.  a may be unreduced, such as a product straight from ``mul``, if
-    its leading coefficient is nonzero mod p."""
+def _rem_p(a, b, p: int) -> tuple:
+    """a mod b over F_p, for b reduced and nonzero; a may be unreduced, such
+    as a product straight from ``mul``."""
     db = len(b) - 1
     inv = pow(b[-1], p - 2, p)
     r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for shift in range(len(q) - 1, -1, -1):
+    for shift in range(len(r) - db - 1, -1, -1):
         c = r.pop() * inv % p
         if c:
-            q[shift] = c
             for i in range(db):
                 r[shift + i] -= c * b[i]
-    r = [c % p for c in r]
-    while r and not r[-1]:
-        r.pop()
-    return tuple(q), tuple(r)
+    return _reduce(r, p)
 
 
 def _gcd_p(a, b, p: int) -> tuple:
-    """Monic gcd, for a != ()."""
+    """A gcd up to a unit, for a != () and b reduced."""
     while b:
-        a, b = b, _divmod_p(a, b, p)[1]
-    return _monic(a, p)
-
-
-def _mulmod_p(a, b, m, p: int) -> tuple:
-    return _divmod_p(mul(a, b), m, p)[1]
+        a, b = b, _rem_p(a, b, p)
+    return a
 
 
 def _powmod_p(base, e: int, m, p: int) -> tuple:
     result = (1,)
     while e:
         if e & 1:
-            result = _mulmod_p(result, base, m, p)
-        base = _mulmod_p(base, base, m, p)
+            result = _rem_p(mul(result, base), m, p)
+        base = _rem_p(mul(base, base), m, p)
         e >>= 1
     return result
 
@@ -319,7 +287,10 @@ def irreducible_mod_p(coefficients, p: int) -> bool:
     """
     if not _is_prime(p):
         raise CompositeModulusError(f"{p} is not prime")
-    coeffs = trim([int(c) for c in coefficients])
+    coeffs = list(coefficients)
+    if not {*map(type, coeffs)} <= {int}:
+        raise ValueError("polynomial coefficients must be int")
+    coeffs = trim(coeffs)
     if not coeffs or coeffs[-1] % p == 0:
         raise LeadingCoefficientVanishesError("leading coefficient vanishes mod p")
     f = _monic(_reduce(coeffs, p), p)

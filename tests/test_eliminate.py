@@ -305,6 +305,7 @@ def test_pit_config_refuses_fields_that_are_not_int(field, value):
         PitConfig(**{field: value})
 
 
+@pytest.mark.sympy
 def test_disc_r_matches_sympy():
     # Both sides use the convention disc_x(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)
     # for f of degree n in x, so the polynomials must agree term for term.

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -222,10 +224,33 @@ def test_irreducible_mod_p_quintic():
 
 
 def test_irreducible_mod_p_errors():
-    with pytest.raises(upoly.CompositeModulusError):
-        upoly.irreducible_mod_p([1, 1], 6)
+    for p in (1, 6, 561):
+        with pytest.raises(upoly.CompositeModulusError, match=f"{p} is not prime"):
+            upoly.irreducible_mod_p([1, 1], p)
     with pytest.raises(upoly.LeadingCoefficientVanishesError):
         upoly.irreducible_mod_p([1, 5], 5)
+
+
+def test_irreducible_mod_p_refuses_coefficients_that_are_not_int():
+    # x^2 + 1/2 = x^2 + 3 mod 5 is irreducible, so int() truncating 1/2 to 0
+    # would answer False, and int(2.9) would read x^2 + 2
+    assert upoly.irreducible_mod_p([3, 0, 1], 5)
+    for coefficients in ([Fraction(1, 2), 0, 1], [2.9, 0, 1], [True, 0, 1], [1, 0, 1.0]):
+        with pytest.raises(ValueError, match="must be int"):
+            upoly.irreducible_mod_p(coefficients, 5)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10_000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, n, d))
+    assert [upoly._is_prime(k) for k in range(n)] == sieve
+    # 561 is a Carmichael number and 3481 = 59^2, the square of the largest
+    # certificate prime
+    for k in (0, 1, 561, 3481):
+        assert not upoly._is_prime(k)
 
 
 # -- splitting off the power of x ---------------------------------------------
@@ -326,6 +351,7 @@ def test_split_gcd_and_squarefree_match_the_unsplit_loops():
     check()
 
 
+@pytest.mark.sympy
 def test_split_gcd_and_squarefree_match_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")

@@ -121,6 +121,7 @@ def _sympy_strata(sympy, x, coeffs):
     return strata
 
 
+@pytest.mark.sympy
 def test_squarefree_strata_matches_sympy():
     # Delta is formed by sympy from g2 and g3, so the oracle shares no code
     # with the classifier; the rational points scale Delta by a lambda that
